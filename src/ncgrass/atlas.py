@@ -205,23 +205,42 @@ class AlgebraPresentation:
         return out
 
 
-_completion_cache: dict = {}
+_caches: list[dict] = []
 
 
-def _completed_system(pres: AlgebraPresentation, bound: int) -> RewriteSystem:
-    ck = (pres.key(), bound)
-    got = _completion_cache.get(ck)
-    if got is None:
-        base = RewriteSystem(pres.field)
-        for rule in pres.rewrite_rules():
-            base.add_rule(rule)
-        got = complete(base, bound)
-        _completion_cache[ck] = got
-    return got
+def new_cache() -> dict:
+    """A module-level memo that clear_caches empties."""
+    cache: dict = {}
+    _caches.append(cache)
+    return cache
 
 
 def clear_caches() -> None:
-    _completion_cache.clear()
+    """Empty every memo made by new_cache: completed systems and point
+    transition data."""
+    for cache in _caches:
+        cache.clear()
+
+
+# pres.key() -> {bound: completed system}
+_completion_cache = new_cache()
+
+
+def _completed_system(pres: AlgebraPresentation, bound: int) -> RewriteSystem:
+    """The completion of `pres` at `bound`, memoized. A miss resumes from the
+    largest cached bound below `bound`, which gives the same rules as a run
+    from scratch (see rewrite.complete)."""
+    by_bound = _completion_cache.setdefault(pres.key(), {})
+    got = by_bound.get(bound)
+    if got is None:
+        below = [b for b in by_bound if b < bound]
+        if below:
+            start = by_bound[max(below)]
+        else:
+            start = RewriteSystem(pres.field, pres.rewrite_rules())
+        got = complete(start, bound)
+        by_bound[bound] = got
+    return got
 
 
 def chart_presentation(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import symbols as sy
-from .atlas import all_charts, pair_overlap
+from .atlas import all_charts, new_cache, pair_overlap
 from .fields import GF
 from .poly import abelianize
 
@@ -104,7 +104,7 @@ def rref(mat, q: int) -> tuple:
 # transport along abelianized transition formulas
 
 
-_transition_cache: dict = {}
+_transition_cache = new_cache()
 
 
 def _transition_data(lam, lam2, q: int):

@@ -51,21 +51,9 @@ def word_weight(w: Word) -> int:
     return sum(sy.WEIGHT[s] for s in w)
 
 
-class MonomialOrder:
-    """(total weight, word length, left-to-right precedence lex)."""
-
-    def key(self, w: Word):
-        return (word_weight(w), len(w), tuple(sy.KEY[s] for s in w))
-
-    def less(self, u: Word, v: Word) -> bool:
-        return self.key(u) < self.key(v)
-
-
-ORDER = MonomialOrder()
-
-
 def order_key(w: Word):
-    return ORDER.key(w)
+    """The monomial order: (total weight, word length, left-to-right precedence lex)."""
+    return (word_weight(w), len(w), tuple(sy.KEY[s] for s in w))
 
 
 def print_key(w: Word):
@@ -198,9 +186,6 @@ class NcPoly:
         _, c = self.leading()
         return self.scale(self.field.inv(c))
 
-    def max_weight(self) -> int:
-        return max((word_weight(w) for w in self.terms), default=0)
-
     def symbols(self) -> set:
         out = set()
         for w in self.terms:
@@ -291,10 +276,6 @@ class Hom:
     def compose_after(self, inner: "Hom") -> "Hom":
         """self o inner: apply inner first, then self."""
         return Hom(self.field, {s: self.apply(p) for s, p in inner.mapping.items()})
-
-
-def apply_hom(h: Hom, p: NcPoly) -> NcPoly:
-    return h.apply(p)
 
 
 class CommPoly:

@@ -2,9 +2,15 @@
 normal forms, and an independent linear-algebra dimension oracle.
 
 Reduction is deterministic: at each step the leftmost redex is taken, ties
-broken by lowest rule index. Completion resolves every overlap and inclusion
-ambiguity whose superposition word has weight at most the bound; by the
-diamond lemma this makes normal forms unique below that weight.
+broken by lowest rule index. Redexes are found through an index from each lhs
+word to its lowest rule index, probed at each position with the lhs lengths
+that start with the letter there. Completion resolves every overlap and
+inclusion ambiguity whose superposition word has weight at most the bound; by
+the diamond lemma this makes normal forms unique below that weight. The
+weight of a superposition is read off the two lhs words, so no polynomial is
+built for an ambiguity above the bound. Completing a system already completed
+at a lower bound resumes it and gives exactly the rules of a run from the
+original rules (the argument is in complete).
 
 reduces_to_zero is one-sided on purpose: a zero normal form proves ideal
 membership, a nonzero one proves nothing (the bound may simply be too small).
@@ -12,6 +18,7 @@ membership, a nonzero one proves nothing (the bound may simply be too small).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field as dc_field
 
@@ -28,12 +35,13 @@ class RewriteRule:
     because each application removes one eliminable variable for good.
     """
 
-    __slots__ = ("lhs", "rhs", "is_module")
+    __slots__ = ("lhs", "rhs", "is_module", "weight")
 
     def __init__(self, lhs: Word, rhs: NcPoly, is_module: bool = False):
         self.lhs = tuple(lhs)
         self.rhs = rhs
         self.is_module = is_module
+        self.weight = word_weight(self.lhs)
         if not self.lhs:
             raise ValueError("rule lhs may not be the empty word")
         if is_module:
@@ -78,9 +86,10 @@ def orient_module(relation: NcPoly, eliminated: int) -> RewriteRule:
 
 @dataclass
 class Ambiguity:
-    """One superposition of two rule lhs words with its two one-step reductions."""
+    """One superposition of two rule lhs words, by its weight, with its two
+    one-step reductions."""
 
-    word: Word
+    weight: int
     left: NcPoly
     right: NcPoly
 
@@ -88,30 +97,46 @@ class Ambiguity:
         return self.left - self.right
 
 
-def overlap_ambiguities(r1: RewriteRule, r2: RewriteRule, field: Field) -> list[Ambiguity]:
+def overlap_ambiguities(
+    r1: RewriteRule, r2: RewriteRule, field: Field, lo: int, hi: int
+) -> list[tuple[int, Ambiguity]]:
     """All proper overlaps (suffix of r1.lhs = prefix of r2.lhs) and inclusions
-    of r2.lhs inside r1.lhs. Module rules never superpose with anything."""
-    if r1.is_module or r2.is_module:
+    of r2.lhs inside r1.lhs whose superposition weight lies in (lo, hi], each
+    as (k, ambiguity). The weight comes from the two lhs words, so no
+    polynomial is built outside the window; k counts every superposition in
+    enumeration order, those outside the window included, so it does not
+    depend on the window. Module rules never superpose with anything."""
+    u, v = r1.lhs, r2.lhs
+    first = v[0]
+    # every overlap and inclusion puts v's first letter somewhere in u
+    if r1.is_module or r2.is_module or first not in u:
         return []
     out = []
-    u, v = r1.lhs, r2.lhs
-    for k in range(1, min(len(u), len(v))):
-        if u[len(u) - k :] == v[:k]:
-            tail = v[k:]
-            head = u[: len(u) - k]
-            sup = u + tail
+    k = -1
+    nu, nv = len(u), len(v)
+    for o in range(1, min(nu, nv)):
+        if u[nu - o] == first and u[nu - o :] == v[:o]:
+            k += 1
+            tail = v[o:]
+            wt = r1.weight + word_weight(tail)
+            if not lo < wt <= hi:
+                continue
+            head = u[: nu - o]
             left = r1.rhs * NcPoly.from_word(field, tail) if tail else r1.rhs
             right = NcPoly.from_word(field, head) * r2.rhs if head else r2.rhs
-            out.append(Ambiguity(sup, left, right))
-    if len(v) <= len(u):
-        for pos in range(len(u) - len(v) + 1):
-            if u[pos : pos + len(v)] == v:
+            out.append((k, Ambiguity(wt, left, right)))
+    # inclusions come last and all have the weight of u, so when they fall
+    # outside the window no later index needs counting
+    if nv <= nu and lo < r1.weight <= hi:
+        for pos in range(nu - nv + 1):
+            if u[pos] == first and u[pos : pos + nv] == v:
+                k += 1
                 mid = r2.rhs
                 if pos:
                     mid = NcPoly.from_word(field, u[:pos]) * mid
-                if pos + len(v) < len(u):
-                    mid = mid * NcPoly.from_word(field, u[pos + len(v) :])
-                out.append(Ambiguity(u, r1.rhs, mid))
+                if pos + nv < nu:
+                    mid = mid * NcPoly.from_word(field, u[pos + nv :])
+                out.append((k, Ambiguity(r1.weight, r1.rhs, mid)))
     return out
 
 
@@ -125,7 +150,10 @@ class RewriteSystem:
         self.completed_bound: int | None = None
         # set when completion derives a unit: the quotient is the zero ring
         self.collapsed = False
-        self._by_first: dict[int, list[tuple[int, RewriteRule]]] = {}
+        # lhs word -> lowest index of a rule with that lhs, and for each first
+        # symbol the ascending distinct lengths of the lhs words it starts
+        self._lhs_index: dict[Word, int] = {}
+        self._lhs_lengths: dict[int, list[int]] = {}
         self._nf_cache: dict[Word, dict] = {}
         self._redex_cache: dict[Word, tuple | None] = {}
         for r in rules or []:
@@ -142,9 +170,14 @@ class RewriteSystem:
         return s
 
     def add_rule(self, rule: RewriteRule) -> None:
-        idx = len(self.rules)
+        """Append a rule. The system is no longer known to be complete, so it
+        is never resumed from (see complete)."""
+        self._lhs_index.setdefault(rule.lhs, len(self.rules))
         self.rules.append(rule)
-        self._by_first.setdefault(rule.lhs[0], []).append((idx, rule))
+        lengths = self._lhs_lengths.setdefault(rule.lhs[0], [])
+        if len(rule.lhs) not in lengths:
+            bisect.insort(lengths, len(rule.lhs))
+        self.completed_bound = None
         self._nf_cache.clear()
         self._redex_cache.clear()
 
@@ -162,17 +195,19 @@ class RewriteSystem:
         got = self._redex_cache.get(w)
         if got is not None or w in self._redex_cache:
             return got
+        index = self._lhs_index
         n = len(w)
         best = None
         for pos in range(n):
-            cands = self._by_first.get(w[pos])
-            if not cands:
+            lengths = self._lhs_lengths.get(w[pos])
+            if lengths is None:
                 continue
-            for idx, rule in cands:
-                L = len(rule.lhs)
-                if pos + L <= n and w[pos : pos + L] == rule.lhs:
-                    if best is None or idx < best[1]:
-                        best = (pos, idx)
+            for length in lengths:
+                if pos + length > n:
+                    break
+                idx = index.get(w[pos : pos + length])
+                if idx is not None and (best is None or idx < best[1]):
+                    best = (pos, idx)
             if best is not None:
                 break
         self._redex_cache[w] = best
@@ -250,29 +285,37 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     """Truncated completion: resolve all ambiguities with superposition weight
     at most `bound`, iterating to a fixpoint. Deterministic: tasks are handled
     in order of (superposition weight, rule pair, enumeration index), and each
-    surviving difference is oriented and appended in that order."""
+    surviving difference is oriented and appended in that order. Each ordered
+    rule pair is enumerated once, so that key is unique.
+
+    A system returned by complete at a bound c < `bound` is resumed: only its
+    ambiguities of weight in (c, bound] are seeded. This yields exactly the
+    rules of a run from the original rules. Such a run pops every task of
+    weight <= c before any heavier one, and normal forms depend only on the
+    rule list, so it first replays the run at c step for step. When that
+    replay ends, its heap holds every ambiguity of the rules so far with weight
+    in (c, bound], each under the same key, which is the resumed seed. A
+    collapsed system stays collapsed, since the replay stops where it did. A
+    system completed at c >= `bound` comes back as a copy, still at c.
+    add_rule clears completed_bound, so a system given extra rules after its
+    completion is completed from scratch with those rules as its base."""
+    lo = system.completed_bound if system.completed_bound is not None else -1
     s = system.copy()
     f = s.field
     heap: list = []
     records: dict = {}
-    serial = 0
 
-    def push_pair(i: int, j: int) -> None:
-        nonlocal serial
-        ambs = overlap_ambiguities(s.rules[i], s.rules[j], f)
-        for k, amb in enumerate(ambs):
-            wt = word_weight(amb.word)
-            if wt > bound:
-                continue
-            key = (wt, i, j, k, serial)
+    def push_pair(i: int, j: int, above: int) -> None:
+        for k, amb in overlap_ambiguities(s.rules[i], s.rules[j], f, above, bound):
+            key = (amb.weight, i, j, k)
             records[key] = amb
             heapq.heappush(heap, key)
-            serial += 1
 
-    n0 = len(s.rules)
-    for i in range(n0):
-        for j in range(n0):
-            push_pair(i, j)
+    if not s.collapsed:
+        n0 = len(s.rules)
+        for i in range(n0):
+            for j in range(n0):
+                push_pair(i, j, lo)
 
     while heap:
         key = heapq.heappop(heap)
@@ -288,10 +331,10 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
         s.add_rule(orient(h))
         m = len(s.rules) - 1
         for k in range(m + 1):
-            push_pair(k, m)
+            push_pair(k, m, -1)
             if k != m:
-                push_pair(m, k)
-    s.completed_bound = bound
+                push_pair(m, k, -1)
+    s.completed_bound = max(bound, lo)
     return s
 
 

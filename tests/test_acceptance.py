@@ -36,7 +36,6 @@ def _report(capsys, ok: bool, text: str) -> None:
 
 def _cold() -> None:
     clear_caches()
-    points._transition_cache.clear()
 
 
 def test_substitution_suite_fast_and_verified(capsys):

@@ -113,3 +113,10 @@ def test_chart_point_str():
     p = _point((1, 2), 3, (1, 2, 0, 1))
     s = str(p)
     assert s.startswith("point[") and "a(1,2;1,3)=1" in s
+
+
+def test_clear_caches_empties_the_transition_cache():
+    in_overlap(chart_points((1, 2), 2)[0], (1, 3))
+    assert points._transition_cache
+    atlas.clear_caches()
+    assert not points._transition_cache

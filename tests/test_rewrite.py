@@ -1,5 +1,6 @@
 """Truncated diamond-lemma completion and the dimension oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from ncgrass import atlas
 from ncgrass import symbols as sy
 from ncgrass.fields import QQ
-from ncgrass.poly import NcPoly, abelianize, commutator
+from ncgrass.poly import NcPoly, abelianize, commutator, word_str
 from ncgrass.rewrite import (
+    RewriteRule,
     RewriteSystem,
     commutative_truncated_dimension,
     complete,
@@ -168,3 +170,100 @@ def test_reduces_to_zero_requires_a_bound_for_raw_systems():
         reduces_to_zero(pres.relations[0], raw)
     out = reduces_to_zero(pres.relations[0], raw, bound=4)
     assert out.zero and out.bound == 4
+
+
+def _rule_list_digest(system):
+    """sha256 of the rule list as (lhs, rhs terms in print order), by symbol name."""
+    items = [
+        (word_str(r.lhs), [(word_str(w), str(c)) for w, c in r.rhs.sorted_terms()])
+        for r in system.rules
+    ]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# O(1,2|2,3|3,4) completed at bound 8 by the engine before redex indexing, the
+# weight pre-filter and resuming: 102 rules
+CHAIN_B8_DIGEST = "47fb0eee23ee711c16e9bbb5a35883e925d1ad52e90cde1fc9150cdc324d0d18"
+
+
+def _chain_base():
+    pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
+    return RewriteSystem(QQ, pres.rewrite_rules())
+
+
+def test_find_redex_tie_break():
+    a, b, c = sy.entry((1, 2), 1, 3), sy.entry((1, 2), 1, 4), sy.entry((1, 2), 2, 3)
+    zero = NcPoly.zero(QQ)
+    # a match further left wins over a lower rule index
+    s = RewriteSystem(QQ, [RewriteRule((b, c), zero), RewriteRule((a, b), zero)])
+    assert s.find_redex((a, b, c)) == (0, 1)
+    # at the same position the lowest index wins, whatever the lhs lengths
+    s = RewriteSystem(QQ, [RewriteRule((a, b, c), zero), RewriteRule((a, b), zero)])
+    assert s.find_redex((c, a, b, c)) == (1, 0)
+    s = RewriteSystem(QQ, [RewriteRule((a, b), zero), RewriteRule((a, b, c), zero)])
+    assert s.find_redex((c, a, b, c)) == (1, 0)
+    assert s.find_redex((c, a, c)) is None
+    # a duplicate lhs resolves to its first index
+    one, two = NcPoly.scalar(QQ, 1), NcPoly.scalar(QQ, 2)
+    s = RewriteSystem(
+        QQ, [RewriteRule((c,), zero), RewriteRule((a, b), one), RewriteRule((a, b), two)]
+    )
+    assert s.find_redex((a, b)) == (0, 1)
+    assert s.normal_form(NcPoly.from_word(QQ, (a, b))) == one
+
+
+def test_find_redex_agrees_with_a_linear_scan():
+    system = complete(_chain_base(), 8)
+    gens = sorted({s for r in system.rules for s in r.lhs})
+    rng = random.Random(7)
+    for _ in range(400):
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(1, 9)))
+        matches = [
+            (pos, idx)
+            for pos in range(len(w))
+            for idx, r in enumerate(system.rules)
+            if w[pos : pos + len(r.lhs)] == r.lhs
+        ]
+        assert system.find_redex(w) == (min(matches) if matches else None)
+
+
+def test_completion_rules_from_scratch_and_resumed():
+    scratch = complete(_chain_base(), 8)
+    assert len(scratch.rules) == 102
+    assert _rule_list_digest(scratch) == CHAIN_B8_DIGEST
+    resumed = _chain_base()
+    for b in (4, 6, 8):
+        resumed = complete(resumed, b)
+        assert resumed.completed_bound == b
+    assert _rule_list_digest(resumed) == CHAIN_B8_DIGEST
+    # the completion cache climbs the same ladder
+    atlas.clear_caches()
+    pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
+    assert [len(pres.completed(b).rules) for b in (4, 6, 8)] == [15, 28, 102]
+    assert _rule_list_digest(pres.completed(8)) == CHAIN_B8_DIGEST
+
+
+def test_a_system_given_a_rule_after_completion_is_not_resumed():
+    a, b = sy.entry((1, 2), 1, 3), sy.entry((1, 2), 1, 4)
+    system = complete(RewriteSystem(QQ, [RewriteRule((a, b), NcPoly.zero(QQ))]), 4)
+    assert len(system.rules) == 1
+    system.add_rule(RewriteRule((b,), NcPoly.gen(QQ, a)))
+    assert system.completed_bound is None
+    # the inclusion of b in a*b, of weight 2, derives a*a -> 0
+    got = complete(system, 6)
+    assert [r.lhs for r in got.rules] == [(a, b), (b,), (a, a)]
+    # resuming from bound 4 would have skipped that ambiguity
+    system.completed_bound = 4
+    assert [r.lhs for r in complete(system, 6).rules] == [(a, b), (b,)]
+
+
+def test_a_collapsed_system_stays_collapsed_when_resumed():
+    a13 = NcPoly.gen(QQ, sy.entry((1, 2), 1, 3))
+    base = RewriteSystem(QQ)
+    base.add_rule(orient(a13 - NcPoly.scalar(QQ, Fraction(1))))
+    base.add_rule(orient(a13 * a13 - NcPoly.scalar(QQ, Fraction(2))))
+    low = complete(base, 2)
+    assert low.collapsed
+    resumed = complete(low, 6)
+    assert resumed.collapsed and resumed.completed_bound == 6
+    assert _rule_list_digest(resumed) == _rule_list_digest(complete(base, 6))
