@@ -14,7 +14,7 @@ homomorphisms into that localization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import symbols as sy
@@ -592,6 +592,29 @@ def pair_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL)
 # iterated overlaps (triple and longer chains)
 
 
+def _word_inverse(elt: NcPoly, letter_inverse) -> NcPoly:
+    """The inverse of a single-term element: its letters' inverses in reverse
+    order, scaled by the inverse coefficient."""
+    f = elt.field
+    ((word, c),) = elt.terms.items()
+    out = NcPoly.scalar(f, f.inv(c))
+    for s in reversed(word):
+        out = out * letter_inverse(s)
+    return out
+
+
+def _known_letter_inverse(s: int, generators, definitions, field: Field) -> NcPoly | None:
+    """The inverse of letter s if the presentation already has one: its
+    partner generator, or the expression that s is defined as the inverse of."""
+    partner = sy.inverse_symbol(s)
+    if partner in generators:
+        return NcPoly.gen(field, partner)
+    for sid, expr, as_inv in definitions:
+        if sid == s and as_inv:
+            return expr
+    return None
+
+
 @dataclass
 class ChainOverlap:
     """Overlap of a chain of charts, presented over the first one. homs maps
@@ -613,13 +636,8 @@ class ChainOverlap:
         Single words invert letter by letter; other elements are matched
         against the recorded invertible elements (syntactically, then modulo
         reduction when a bound is supplied)."""
-        f = self.field
         if len(elt.terms) == 1:
-            ((word, c),) = elt.terms.items()
-            out = NcPoly.scalar(f, f.inv(c))
-            for s in reversed(word):
-                out = out * self._letter_inverse(s)
-            return out
+            return _word_inverse(elt, self._letter_inverse)
         for known, inv in self.known_inverses:
             if known == elt:
                 return inv
@@ -631,14 +649,11 @@ class ChainOverlap:
         return None
 
     def _letter_inverse(self, s: int) -> NcPoly:
-        f = self.field
-        partner = sy.inverse_symbol(s)
-        if partner in self.presentation.generators:
-            return NcPoly.gen(f, partner)
-        for sid, expr, as_inv in self.presentation.definitions:
-            if sid == s and as_inv:
-                return expr
-        raise ValueError(f"no inverse available for letter {sy.sym_name(s)}")
+        pres = self.presentation
+        inv = _known_letter_inverse(s, pres.generators, pres.definitions, self.field)
+        if inv is None:
+            raise ValueError(f"no inverse available for letter {sy.sym_name(s)}")
+        return inv
 
 
 def overlap_chain(
@@ -664,13 +679,12 @@ def overlap_chain(
     homs: dict = {base: ident}
 
     def letter_inverse(s: int) -> NcPoly:
-        partner = sy.inverse_symbol(s)
-        if partner in gens:
-            return NcPoly.gen(field, partner)
-        for sid, expr, as_inv in definitions:
-            if sid == s and as_inv:
-                return expr
+        """A known inverse of s, or a new adjoined inverse for a base entry."""
+        inv = _known_letter_inverse(s, gens, definitions, field)
+        if inv is not None:
+            return inv
         if sy.sym(s).kind == sy.ENTRY and sy.sym(s).chart == base:
+            partner = sy.inverse_symbol(s)
             gens.append(partner)
             spoly = NcPoly.gen(field, s)
             inv_rels.extend(_inverse_pair_relations(field, spoly, partner))
@@ -684,10 +698,7 @@ def overlap_chain(
         """Make u invertible over the base; return the expression standing for
         the formal symbol `label` (the hop-side inverse)."""
         if len(u.terms) == 1:
-            ((word, c),) = u.terms.items()
-            out = NcPoly.scalar(field, field.inv(c))
-            for s in reversed(word):
-                out = out * letter_inverse(s)
+            out = _word_inverse(u, letter_inverse)
             known.append((u, out))
             return out
         gens.append(label)

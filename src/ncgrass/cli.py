@@ -127,6 +127,9 @@ def _selected_report(args, bound: int, field: Field) -> verify.VerificationRepor
     sel = args.selector
     if args.triple is not None and sel != "cocycle":
         raise UsageError("--triple only applies to the cocycle selector")
+    if sel == "points" and args.field != "rat":
+        # point counts always run over F_2, F_3 and F_5
+        raise UsageError("--field does not apply to the points selector")
     if sel == "all":
         return verify.run_all(bound=bound, field=field)
     if sel == "proposition":

@@ -273,137 +273,13 @@ class Hom:
             out = out + acc
         return out
 
-    def compose_after(self, inner: "Hom") -> "Hom":
-        """self o inner: apply inner first, then self."""
-        return Hom(self.field, {s: self.apply(p) for s, p in inner.mapping.items()})
 
-
-class CommPoly:
-    """Commutative polynomial; monomials are sorted tuples of symbol ids."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms: dict | None = None):
-        self.field = field
-        self.terms = terms or {}
-
-    @staticmethod
-    def zero(field: Field) -> "CommPoly":
-        return CommPoly(field, {})
-
-    def __add__(self, other: "CommPoly") -> "CommPoly":
-        check_same_field(self.field, other.field)
-        f = self.field
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            c0 = acc.get(m)
-            if c0 is None:
-                acc[m] = c
-            else:
-                c2 = f.add(c0, c)
-                if f.is_zero(c2):
-                    del acc[m]
-                else:
-                    acc[m] = c2
-        return CommPoly(f, acc)
-
-    def __neg__(self) -> "CommPoly":
-        f = self.field
-        return CommPoly(f, {m: f.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other: "CommPoly") -> "CommPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "CommPoly") -> "CommPoly":
-        check_same_field(self.field, other.field)
-        f = self.field
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2, key=lambda s: sy.KEY[s]))
-                c = f.mul(c1, c2)
-                c0 = acc.get(m)
-                if c0 is not None:
-                    c = f.add(c0, c)
-                if f.is_zero(c):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = c
-        return CommPoly(f, acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        return self.field.key == other.field.key and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.field.key, frozenset(self.terms.items())))
-
-    def symbols(self) -> set:
-        out = set()
-        for m in self.terms:
-            out.update(m)
-        return out
-
-    def evaluate(self, values: dict):
-        f = self.field
-        total = f.zero
-        for m, c in self.terms.items():
-            v = c
-            for s in m:
-                v = f.mul(v, values[s])
-            total = f.add(total, v)
-        return total
-
-    def divisible_by(self, sid: int) -> bool:
-        return bool(self.terms) and all(sid in m for m in self.terms)
-
-    def divide_once(self, sid: int) -> "CommPoly":
-        acc = {}
-        for m, c in self.terms.items():
-            lst = list(m)
-            lst.remove(sid)
-            acc[tuple(lst)] = c
-        return CommPoly(self.field, acc)
-
-    def monic(self) -> "CommPoly":
-        if not self.terms:
-            return self
-        f = self.field
-        m = max(self.terms, key=lambda mm: (len(mm), tuple(sy.KEY[s] for s in mm)))
-        c = f.inv(self.terms[m])
-        return CommPoly(f, {mm: f.mul(c, cc) for mm, cc in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in sorted(
-            self.terms.items(),
-            key=lambda kv: (-len(kv[0]), tuple(sy.KEY[s] for s in kv[0])),
-        ):
-            w = "*".join(sy.sym_name(s) for s in m) if m else "1"
-            bits.append(f"{self.field.to_str(c)}*{w}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"CommPoly({self})"
-
-
-def abelianize(p: NcPoly) -> CommPoly:
-    """Ring homomorphism onto the commutative polynomial ring in the same symbols."""
-    f = p.field
-    acc: dict = {}
-    for w, c in p.terms.items():
-        m = tuple(sorted(w, key=lambda s: sy.KEY[s]))
-        c0 = acc.get(m)
-        if c0 is not None:
-            c = f.add(c0, c)
-        if f.is_zero(c):
-            acc.pop(m, None)
-        else:
-            acc[m] = c
-    return CommPoly(f, acc)
+def abelianize(p: NcPoly) -> NcPoly:
+    """Ring homomorphism onto the commutative polynomial ring in the same
+    symbols. A commutative monomial is the word of its symbols sorted by
+    precedence (module variables last, as in every word), so the result is an
+    NcPoly that compares, prints and evaluates as a commutative polynomial.
+    A product of abelianized elements is commutative only once abelianized
+    again."""
+    key = sy.KEY.__getitem__
+    return NcPoly.from_pairs(p.field, ((c, sorted(w, key=key)) for w, c in p.terms.items()))

@@ -11,16 +11,13 @@ weight of a superposition is read off the two lhs words, so no polynomial is
 built for an ambiguity above the bound. Completing a system already completed
 at a lower bound resumes it and gives exactly the rules of a run from the
 original rules (the argument is in complete).
-
-reduces_to_zero is one-sided on purpose: a zero normal form proves ideal
-membership, a nonzero one proves nothing (the bound may simply be too small).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import symbols as sy
 from .fields import Field, check_same_field
@@ -336,31 +333,6 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
                 push_pair(m, k, -1)
     s.completed_bound = max(bound, lo)
     return s
-
-
-@dataclass
-class ReduceOutcome:
-    """Zero is a proof of ideal membership; Inconclusive is just a bound report."""
-
-    zero: bool
-    bound: int
-    normal_form: NcPoly
-
-    @property
-    def label(self) -> str:
-        return "Zero" if self.zero else f"Inconclusive(bound={self.bound})"
-
-
-def reduces_to_zero(p: NcPoly, system: RewriteSystem, bound: int | None = None) -> ReduceOutcome:
-    """Reduce p with `system`, completing it first if it was not completed.
-    Never claims nonzero-ness."""
-    if system.completed_bound is None:
-        if bound is None:
-            raise ValueError("an uncompleted system needs an explicit bound")
-        system = complete(system, bound)
-    b = system.completed_bound
-    nf = system.normal_form(p)
-    return ReduceOutcome(nf.is_zero(), b, nf)
 
 
 # independent dimension oracle (no rewriting involved)

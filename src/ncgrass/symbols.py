@@ -50,7 +50,6 @@ class Symbol:
 
 _registry: dict[tuple, Symbol] = {}
 _by_id: list[Symbol] = []
-_by_name: dict[str, Symbol] = {}
 
 # parallel arrays for the rewrite engine's hot loops
 WEIGHT: list[int] = []
@@ -71,7 +70,6 @@ def _register(kind, chart, i, j, chart2, weight, name) -> int:
     s = Symbol(sid, kind, chart, i, j, chart2, weight, name, key)
     _registry[desc] = s
     _by_id.append(s)
-    _by_name[name] = s
     WEIGHT.append(weight)
     KEY.append(key)
     return sid
@@ -129,10 +127,6 @@ def sym(sid: int) -> Symbol:
 
 def sym_name(sid: int) -> str:
     return _by_id[sid].name
-
-
-def by_name(name: str) -> Symbol | None:
-    return _by_name.get(name)
 
 
 def kind_name(kind: int) -> str:

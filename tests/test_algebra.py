@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ, FieldMismatchError, field_by_key
 from ncgrass.poly import (
-    CommPoly,
     Hom,
     NcPoly,
     UnmappedSymbolError,
@@ -165,4 +166,21 @@ def test_comm_poly_arithmetic():
     v = abelianize(a24 * a13)
     assert u == v
     assert (u - v).is_zero()
-    assert isinstance(u * v, CommPoly)
+
+
+_R12 = [sy.entry((1, 2), i, j) for i in (1, 2) for j in (3, 4)]
+_r12_polys = st.lists(
+    st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(_R12), max_size=3)), max_size=5
+).map(lambda pairs: NcPoly.from_pairs(QQ, pairs))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_r12_polys, _r12_polys, st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_abelianize_is_a_ring_map_onto_sorted_words(p, q, vals):
+    ab_p, ab_q = abelianize(p), abelianize(q)
+    key = lambda s: sy.KEY[s]
+    assert all(list(w) == sorted(w, key=key) for w in ab_p.terms)
+    assert abelianize(p + q) == ab_p + ab_q
+    assert abelianize(p * q) == abelianize(ab_p * ab_q)
+    values = dict(zip(_R12, map(Fraction, vals)))
+    assert ab_p.evaluate(values) == p.evaluate(values)

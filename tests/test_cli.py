@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, goldens, determinism, export schema."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -44,6 +45,13 @@ def test_verify_prints_one_line_per_check(capsys):
     assert len(lines) == 6
 
 
+def test_points_selector_rejects_a_field(capsys):
+    # the point counts always run over F_2, F_3 and F_5
+    code, _, err = run_cli(capsys, "verify", "points", "--field", "q7", "--quiet")
+    assert code == 3
+    assert "--field" in err
+
+
 def test_verify_bad_selector_exits_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus"])
@@ -79,10 +87,12 @@ def test_bad_bound_env_exits_three(capsys, monkeypatch):
 
 def test_verify_json_report(capsys, tmp_path):
     path = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "verify", "points", "--quiet", "--json", str(path))
+    code, out, _ = run_cli(capsys, "verify", "points", "--quiet", "--json", str(path))
     assert code == 0
+    assert "field rat" in out
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["status"] == 0
+    assert doc["field"] == "rat"
     assert doc["counts"]["total"] == 6
     assert {c["id"] for c in doc["checks"]} >= {"points:q2:count", "points:q5:roundtrip"}
     assert all("elapsed" not in c for c in doc["checks"])
@@ -212,3 +222,14 @@ def test_export_is_deterministic_across_processes():
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b
     assert a.decode("utf-8").endswith("\n")
+
+
+def test_report_is_independent_of_the_hash_seed(tmp_path):
+    docs = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"abelian-{seed}.json"
+        cmd = [sys.executable, "-m", "ncgrass.cli", "verify", "abelianization", "--json", str(path)]
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        subprocess.run(cmd, capture_output=True, check=True, env=env)
+        docs.append(path.read_bytes())
+    assert docs[0] == docs[1]

@@ -126,6 +126,18 @@ def test_flipped_disjoint_sign_is_caught_by_the_lemma_suite():
     assert all(r.witness for r in failed)
 
 
+def test_failed_sign_check_notes_the_opposite_sign():
+    site = ("disjoint_to_base", ("a", 1, 4, 1), 0)
+    mutated = atlas.flip_sign(atlas.CANONICAL, site)
+    entries = verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 8, QQ, mutated)
+    a41 = next(
+        r for r in entries if r.check_id == "lemma(1,2|2,3|3,4):closed-form:a(3,4;4,1)"
+    )
+    assert a41.failed
+    assert a41.witness
+    assert a41.claim.endswith("; the opposite-sign variant reduces to zero instead")
+
+
 def test_check_result_serialization():
     r = CheckResult("id:x", "claim text", "Verified", 4, None, 0.123)
     d = r.as_dict()
