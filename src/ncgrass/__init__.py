@@ -12,7 +12,6 @@ from .atlas import (
     clear_caches,
     overlap_chain,
     pair_overlap,
-    triple_overlap,
 )
 from .fields import GF, QQ, field_by_key
 from .points import gaussian_count, glue_count, subspace_oracle
@@ -37,6 +36,5 @@ __all__ = [
     "poly_str",
     "run_all",
     "subspace_oracle",
-    "triple_overlap",
     "__version__",
 ]

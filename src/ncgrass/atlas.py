@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from . import symbols as sy
 from .fields import QQ, Field
 from .poly import Hom, NcPoly, commutator, poly_str
-from .rewrite import RewriteRule, RewriteSystem, complete, orient_module
+from .rewrite import RewriteRule, RewriteSystem, complete, orient, orient_module
 
 Chart = tuple  # tuple[int, ...], sorted
 
@@ -29,22 +29,33 @@ def _chart(c) -> Chart:
     return tuple(sorted(c))
 
 
-def all_charts(m: int = 2, n: int = 4) -> list[Chart]:
-    return [tuple(c) for c in combinations(range(1, n + 1), m)]
+def all_charts() -> list[Chart]:
+    return [tuple(c) for c in combinations(range(1, 5), 2)]
 
 
-def validate_chart(m: int, n: int, lam) -> Chart:
+def validate_chart(lam) -> Chart:
     lam = _chart(lam)
-    if len(lam) != m or len(set(lam)) != m:
-        raise ValueError(f"chart size mismatch: {lam} is not a {m}-subset")
-    if any(i < 1 or i > n for i in lam):
-        raise ValueError(f"index out of range in chart {lam} for n={n}")
+    if len(lam) != 2 or len(set(lam)) != 2:
+        raise ValueError(f"chart size mismatch: {lam} is not a 2-subset")
+    if any(i < 1 or i > 4 for i in lam):
+        raise ValueError(f"index out of range in chart {lam} for n=4")
     return lam
 
 
+def outside(lam: Chart) -> tuple:
+    """The column indices not in the chart, ascending."""
+    return tuple(j for j in range(1, 5) if j not in lam)
+
+
+def chart_entries(lam: Chart) -> tuple:
+    """The chart's entry symbols a(lam; i, j), row by row: i in the chart,
+    j outside it. Chart points list their values in this order."""
+    return tuple(sy.entry(lam, i, j) for i in lam for j in outside(lam))
+
+
 def overlap_type(lam, lam2) -> str:
-    lam = validate_chart(2, 4, lam)
-    lam2 = validate_chart(2, 4, lam2)
+    lam = validate_chart(lam)
+    lam2 = validate_chart(lam2)
     if lam == lam2:
         return "equal"
     shared = len(set(lam) & set(lam2))
@@ -57,14 +68,14 @@ def overlap_type(lam, lam2) -> str:
 # chart algebras
 
 
-def chart_relations(m: int, n: int, lam, field: Field = QQ) -> list[NcPoly]:
-    """Defining relations of one chart algebra of NCG(m, n), monic, deduplicated.
+def chart_relations(lam, field: Field = QQ) -> list[NcPoly]:
+    """Defining relations of one chart algebra, monic, deduplicated.
 
     Row relations: entries in one row commute pairwise. Quartet relations: for
     rows i1 < i2 and columns j1 != j2, [a(i1,j1), a(i2,j2)] = [a(i1,j2), a(i2,j1)].
     """
-    lam = validate_chart(m, n, lam)
-    comp = [j for j in range(1, n + 1) if j not in lam]
+    lam = validate_chart(lam)
+    comp = outside(lam)
     g = lambda i, j: NcPoly.gen(field, sy.entry(lam, i, j))
     rels: list[NcPoly] = []
     seen = set()
@@ -91,11 +102,11 @@ def chart_relations(m: int, n: int, lam, field: Field = QQ) -> list[NcPoly]:
     return rels
 
 
-def chart_relations_bruteforce(m: int, n: int, lam, field: Field = QQ) -> set:
+def chart_relations_bruteforce(lam, field: Field = QQ) -> set:
     """Independent enumeration used as the dedup oracle: every row commutator
     and every quartet shape, canonicalized, collected into a set of strings."""
-    lam = validate_chart(m, n, lam)
-    comp = [j for j in range(1, n + 1) if j not in lam]
+    lam = validate_chart(lam)
+    comp = outside(lam)
     g = lambda i, j: NcPoly.gen(field, sy.entry(lam, i, j))
     out = set()
     for i in lam:
@@ -117,13 +128,11 @@ def chart_relations_bruteforce(m: int, n: int, lam, field: Field = QQ) -> set:
     return out
 
 
-def universal_module_relations(lam, n: int = 4, field: Field = QQ) -> list[NcPoly]:
+def universal_module_relations(lam, field: Field = QQ) -> list[NcPoly]:
     """x_j = sum over i in the chart of a(i,j) x_i, one relation per j outside."""
-    lam = validate_chart(len(_chart(lam)), n, lam)
+    lam = validate_chart(lam)
     rels = []
-    for j in range(1, n + 1):
-        if j in lam:
-            continue
+    for j in outside(lam):
         p = NcPoly.gen(field, sy.module_var(j))
         for i in lam:
             p = p - NcPoly.from_pairs(field, [(1, (sy.entry(lam, i, j), sy.module_var(i)))])
@@ -131,15 +140,10 @@ def universal_module_relations(lam, n: int = 4, field: Field = QQ) -> list[NcPol
     return rels
 
 
-def module_rules(lam, n: int = 4, field: Field = QQ) -> list[RewriteRule]:
-    lam = _chart(lam)
-    rules = []
-    for rel in universal_module_relations(lam, n, field):
-        j = next(
-            s for w in rel.terms for s in w if sy.is_module_var(s) and sy.sym(s).i not in lam
-        )
-        rules.append(orient_module(rel, j))
-    return rules
+def module_rules(lam: Chart, relations) -> list[RewriteRule]:
+    """The universal module relations of chart lam, in order, oriented as the
+    rules that eliminate x(j) for each j outside the chart."""
+    return [orient_module(rel, sy.module_var(j)) for j, rel in zip(outside(lam), relations)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,7 @@ class AlgebraPresentation:
 
     name: str
     field: Field
-    base_chart: Chart | None
+    base_chart: Chart
     generators: tuple
     commutation_relations: tuple
     definition_relations: tuple = ()
@@ -171,18 +175,8 @@ class AlgebraPresentation:
         return self.commutation_relations + self.definition_relations + self.inverse_relations
 
     def rewrite_rules(self) -> list[RewriteRule]:
-        from .rewrite import orient
-
         rules = [orient(r) for r in self.relations]
-        for rel in self.module_relations:
-            j = next(
-                s
-                for w in rel.terms
-                for s in w
-                if sy.is_module_var(s) and sy.sym(s).i not in (self.base_chart or ())
-            )
-            rules.append(orient_module(rel, j))
-        return rules
+        return rules + module_rules(self.base_chart, self.module_relations)
 
     def key(self) -> tuple:
         return (
@@ -243,14 +237,11 @@ def _completed_system(pres: AlgebraPresentation, bound: int) -> RewriteSystem:
     return got
 
 
-def chart_presentation(
-    lam, field: Field = QQ, with_module: bool = False, n: int = 4
-) -> AlgebraPresentation:
-    m = len(_chart(lam))
-    lam = validate_chart(m, n, lam)
-    gens = tuple(sy.entry(lam, i, j) for i in lam for j in range(1, n + 1) if j not in lam)
-    rels = tuple(chart_relations(m, n, lam, field))
-    mods = tuple(universal_module_relations(lam, n, field)) if with_module else ()
+def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> AlgebraPresentation:
+    lam = validate_chart(lam)
+    gens = chart_entries(lam)
+    rels = tuple(chart_relations(lam, field))
+    mods = tuple(universal_module_relations(lam, field)) if with_module else ()
     name = ("F" if with_module else "R") + "(" + ",".join(map(str, lam)) + ")"
     return AlgebraPresentation(
         name=name,
@@ -468,24 +459,21 @@ def _inverse_pair_relations(field: Field, elt: NcPoly, inv_sid: int) -> tuple:
     return (elt * inv - one, inv * elt - one)
 
 
-def adjacent_overlap(
-    lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL, sigma: dict | None = None
-) -> OverlapPair:
+def adjacent_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> OverlapPair:
     """Base-chart localization at the pivot entry, plus the transition
     homomorphisms in both directions."""
     lam, lam2 = _chart(lam), _chart(lam2)
-    if sigma is None:
-        sigma = adjacent_sigma(lam, lam2)
+    sigma = adjacent_sigma(lam, lam2)
     piv = pivot_entry(lam, lam2)
     piv_inv = sy.inverse_symbol(piv)
-    gens = tuple(sy.entry(lam, i, j) for i in lam for j in range(1, 5) if j not in lam)
+    gens = chart_entries(lam)
     piv_poly = NcPoly.gen(field, piv)
     pres = AlgebraPresentation(
         name=f"O({lam[0]},{lam[1]}|{lam2[0]},{lam2[1]})",
         field=field,
         base_chart=lam,
         generators=gens + (piv_inv,),
-        commutation_relations=tuple(chart_relations(2, 4, lam, field)),
+        commutation_relations=tuple(chart_relations(lam, field)),
         inverse_relations=_inverse_pair_relations(field, piv_poly, piv_inv),
         definitions=((piv_inv, piv_poly, True),),
         inverted=(piv_poly,),
@@ -507,26 +495,23 @@ def adjacent_overlap(
     return OverlapPair(lam, lam2, "adjacent", pres, to_base, from_base, sigma)
 
 
-def disjoint_overlap(
-    lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL, sigma: dict | None = None
-) -> OverlapPair:
+def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> OverlapPair:
     """Two-sided presentation of the overlap of opposite charts: both charts'
     entries together with both quasi-determinants and their inverses, and the
     eight displayed identification formulas imposed as relations. Unlike the
     adjacent case, neither single-chart localization supports the transition
     on its own: the quasi-determinant is not central, so the far chart's
     commutation relations and both formula groups carry independent content.
-    The transporting permutation defaults to the lexicographically least
-    suitable one."""
+    The transporting permutation is the lexicographically least suitable
+    one."""
     lam, lam2 = _chart(lam), _chart(lam2)
-    if sigma is None:
-        sigma = disjoint_sigmas(lam, lam2)[0]
+    sigma = disjoint_sigmas(lam, lam2)[0]
     dsym = sy.quasi_det(lam, lam2)
     dinv = sy.quasi_det_inverse(lam, lam2)
     d2sym = sy.quasi_det(lam2, lam)
     d2inv = sy.quasi_det_inverse(lam2, lam)
-    gens = tuple(sy.entry(lam, i, j) for i in lam for j in range(1, 5) if j not in lam)
-    gens2 = tuple(sy.entry(lam2, i, j) for i in lam2 for j in range(1, 5) if j not in lam2)
+    gens = chart_entries(lam)
+    gens2 = chart_entries(lam2)
     det_sigma = NcPoly.from_pairs(
         field,
         [
@@ -552,8 +537,8 @@ def disjoint_overlap(
         field=field,
         base_chart=lam,
         generators=gens + gens2 + (dsym, dinv, d2sym, d2inv),
-        commutation_relations=tuple(chart_relations(2, 4, lam, field))
-        + tuple(chart_relations(2, 4, lam2, field)),
+        commutation_relations=tuple(chart_relations(lam, field))
+        + tuple(chart_relations(lam2, field)),
         definition_relations=(det_sigma - dpoly, det2_sigma - d2poly) + subst,
         inverse_relations=_inverse_pair_relations(field, dpoly, dinv)
         + _inverse_pair_relations(field, d2poly, d2inv),
@@ -667,8 +652,8 @@ def overlap_chain(
     if len(set(charts)) != len(charts) or len(charts) < 2:
         raise ValueError("chain needs at least two distinct charts")
     base = charts[0]
-    gens = [sy.entry(base, i, j) for i in base for j in range(1, 5) if j not in base]
-    comm = list(chart_relations(2, 4, base, field))
+    gens = list(chart_entries(base))
+    comm = list(chart_relations(base, field))
     def_rels: list[NcPoly] = []
     inv_rels: list[NcPoly] = []
     definitions: list[tuple] = []
@@ -761,7 +746,7 @@ def overlap_chain(
             known.append((far_det_img, wpoly))
             phi_next.mapping[d2sym] = far_det_img
             phi_next.mapping[d2inv] = wpoly
-            for rel in chart_relations(2, 4, nxt, field):
+            for rel in chart_relations(nxt, field):
                 comm.append(phi_next.apply(rel))
             for s, img in hop.from_base.mapping.items():
                 if sy.sym(s).kind == sy.ENTRY:
@@ -817,10 +802,6 @@ def triple_ordering(charts) -> tuple:
     return (a, middle, b)
 
 
-def triple_overlap(lam1, lam2, lam3, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> ChainOverlap:
-    return overlap_chain((lam1, lam2, lam3), field, formulas)
-
-
 def direct_far_images(chain: ChainOverlap, formulas: FormulaSet = CANONICAL) -> dict:
     """Images of the far chart's entries under the direct (single-hop) pair
     formulas, expressed inside the chain presentation. Used by the cocycle
@@ -845,10 +826,7 @@ def direct_far_images(chain: ChainOverlap, formulas: FormulaSet = CANONICAL) -> 
         subst[sy.quasi_det(lam, nu)] = det_elt
         subst[sy.quasi_det_inverse(lam, nu)] = inv
     h = Hom(field, subst)
-    out = {}
-    for e in (sy.entry(nu, i, j) for i in nu for j in range(1, 5) if j not in nu):
-        out[e] = h.apply(pair.to_base.mapping[e])
-    return out
+    return {e: h.apply(pair.to_base.mapping[e]) for e in chart_entries(nu)}
 
 
 # ---------------------------------------------------------------------------
@@ -887,17 +865,10 @@ class PosetIndex:
 
 
 @dataclass
-class TransitionHom:
-    source: PosetIndex
-    target: PosetIndex
-    hom: Hom
-
-
-@dataclass
 class Presheaf:
     field: Field
     nodes: dict  # PosetIndex -> ChartNode | OverlapPair | ChainOverlap
-    restrictions: dict  # (source, target) -> TransitionHom
+    restrictions: dict  # (source, target) -> Hom
 
     def presentation(self, idx: PosetIndex) -> AlgebraPresentation:
         node = self.nodes[idx]
@@ -954,23 +925,17 @@ def build_presheaf(field: Field = QQ, formulas: FormulaSet = CANONICAL) -> Presh
             field,
             {e: NcPoly.gen(field, e) for e in ov.presentation.generators},
         )
-        restrictions[(PosetIndex.of(a), idx)] = TransitionHom(PosetIndex.of(a), idx, ident)
-        restrictions[(PosetIndex.of(b), idx)] = TransitionHom(
-            PosetIndex.of(b), idx, ov.to_base
-        )
+        restrictions[(PosetIndex.of(a), idx)] = ident
+        restrictions[(PosetIndex.of(b), idx)] = ov.to_base
 
     for combo in combinations(charts, 3):
         idx = PosetIndex.of(*combo)
         chain = overlap_chain(triple_ordering(combo), field, formulas)
         nodes[idx] = chain
         for c in combo:
-            restrictions[(PosetIndex.of(c), idx)] = TransitionHom(
-                PosetIndex.of(c), idx, chain.homs[c]
-            )
+            restrictions[(PosetIndex.of(c), idx)] = chain.homs[c]
         for a, b in combinations(combo, 2):
             pidx = PosetIndex.of(a, b)
-            restrictions[(pidx, idx)] = TransitionHom(
-                pidx, idx, _pair_to_chain_hom(pairs[pidx], chain)
-            )
+            restrictions[(pidx, idx)] = _pair_to_chain_hom(pairs[pidx], chain)
 
     return Presheaf(field, nodes, restrictions)

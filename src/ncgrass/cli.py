@@ -30,6 +30,8 @@ SELECTORS = (
     "abelianization",
     "points",
 )
+# selectors whose checks complete no rewriting system, so no bound applies
+UNBOUNDED_SELECTORS = ("abelianization", "points")
 EXPORT_TARGETS = ("charts", "overlaps", "transitions", "presheaf", "report")
 DEFAULT_BOUND = 10
 
@@ -154,7 +156,12 @@ def _selected_report(args, bound: int, field: Field) -> verify.VerificationRepor
 
 
 def cmd_verify(args) -> int:
-    bound = _bound(args)
+    if args.selector not in UNBOUNDED_SELECTORS:
+        bound = _bound(args)
+    elif args.bound is not None:
+        raise UsageError(f"--bound does not apply to the {args.selector} selector")
+    else:
+        bound = DEFAULT_BOUND
     field = _field(args)
     report = _selected_report(args, bound, field)
     if not args.quiet:
@@ -229,10 +236,6 @@ def _presentation_doc(pres) -> dict:
     }
 
 
-def _far_entries(lam2):
-    return [sy.entry(lam2, i, j) for i in lam2 for j in range(1, 5) if j not in lam2]
-
-
 def _export_doc(what: str, bound: int, field: Field):
     charts = atlas.all_charts()
     if what == "charts":
@@ -249,7 +252,7 @@ def _export_doc(what: str, bound: int, field: Field):
         for a, b in permutations(charts, 2):
             pair = atlas.pair_overlap(a, b, field)
             images = {
-                sy.sym_name(g): poly_str(pair.to_base.mapping[g]) for g in _far_entries(b)
+                sy.sym_name(g): poly_str(pair.to_base.mapping[g]) for g in atlas.chart_entries(b)
             }
             rows.append({"source": _chart_name(a), "target": _chart_name(b), "images": images})
         return {"transitions": rows}
@@ -268,11 +271,9 @@ def _export_doc(what: str, bound: int, field: Field):
             {
                 "source": src.name,
                 "target": dst.name,
-                "images": {
-                    sy.sym_name(g): poly_str(v) for g, v in th.hom.mapping.items()
-                },
+                "images": {sy.sym_name(g): poly_str(v) for g, v in hom.mapping.items()},
             }
-            for (src, dst), th in sorted(
+            for (src, dst), hom in sorted(
                 ps.restrictions.items(), key=lambda kv: (order(kv[0][0]), order(kv[0][1]))
             )
         ]
@@ -300,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--bound", type=int, default=None, help="truncation weight (default 10)")
     common.add_argument("--field", choices=FIELD_KEYS, default="rat", help="coefficient field")
     common.add_argument("--json", metavar="PATH", help="also write a JSON document to PATH")
-    common.add_argument("--quiet", action="store_true", help="suppress per-check lines")
 
     top = _ArgumentParser(prog="ncgrass", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("selector", choices=SELECTORS)
+    pv.add_argument("--quiet", action="store_true", help="suppress per-check lines")
     pv.add_argument("--triple", metavar="T", help="one cocycle triple, e.g. 1,2:2,3:3,4")
     pv.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import symbols as sy
-from .atlas import all_charts, new_cache, pair_overlap
+from .atlas import all_charts, chart_entries, new_cache, pair_overlap
 from .fields import GF
 from .poly import abelianize
 
@@ -31,7 +31,7 @@ class PointGluingError(RuntimeError):
 class ChartPoint:
     chart: tuple
     q: int
-    assignment: tuple  # ((entry sid, value), ...) in symbol order
+    assignment: tuple  # ((entry sid, value), ...) in chart_entries order
 
     def values(self) -> dict:
         return dict(self.assignment)
@@ -41,15 +41,11 @@ class ChartPoint:
         return f"point[{inner}]"
 
 
-def _entries(chart) -> list[int]:
-    return [sy.entry(chart, i, j) for i in chart for j in range(1, 5) if j not in chart]
-
-
 def chart_points(lam, q: int) -> list[ChartPoint]:
     """All q^4 points of one chart, in deterministic order."""
     lam = tuple(sorted(lam))
     GF(q)  # validates primality
-    gens = _entries(lam)
+    gens = chart_entries(lam)
     out = []
     for vals in product(range(q), repeat=len(gens)):
         out.append(ChartPoint(lam, q, tuple(zip(gens, vals))))
@@ -58,18 +54,12 @@ def chart_points(lam, q: int) -> list[ChartPoint]:
 
 def point_matrix(p: ChartPoint) -> tuple:
     """The 2x4 matrix whose rows span the point's subspace: identity in the
-    chart columns, the assigned entries elsewhere."""
-    vals = p.values()
-    rows = []
-    for i in p.chart:
-        row = []
-        for c in range(1, 5):
-            if c in p.chart:
-                row.append(1 if c == i else 0)
-            else:
-                row.append(vals[sy.entry(p.chart, i, c)])
-        rows.append(tuple(row))
-    return tuple(rows)
+    chart columns, the assigned entries elsewhere, read in assignment order."""
+    vals = iter(v for _, v in p.assignment)
+    return tuple(
+        tuple((1 if c == i else 0) if c in p.chart else next(vals) for c in range(1, 5))
+        for i in p.chart
+    )
 
 
 def rref(mat, q: int) -> tuple:
@@ -108,6 +98,8 @@ _transition_cache = new_cache()
 
 
 def _transition_data(lam, lam2, q: int):
+    """The overlap's abelianized inverted elements and definitions, and the
+    (entry, abelianized image) pairs of lam2's entries in chart_entries order."""
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
     if got is None:
@@ -117,10 +109,7 @@ def _transition_data(lam, lam2, q: int):
         definitions = [
             (sid, abelianize(expr), as_inv) for sid, expr, as_inv in pair.presentation.definitions
         ]
-        images = {
-            e: abelianize(pair.to_base.mapping[e])
-            for e in _entries(lam2)
-        }
+        images = tuple((e, abelianize(pair.to_base.mapping[e])) for e in chart_entries(lam2))
         got = (inverted, definitions, images)
         _transition_cache[key] = got
     return got
@@ -153,18 +142,17 @@ def transport(p: ChartPoint, lam2) -> ChartPoint:
             values[sid] = field.inv(v) if as_inv else v
     except ZeroDivisionError:
         raise PointGluingError(f"{p} lies outside the overlap with chart {lam2}")
-    gens = _entries(lam2)
-    return ChartPoint(lam2, p.q, tuple((e, images[e].evaluate(values)) for e in gens))
+    return ChartPoint(lam2, p.q, tuple((e, img.evaluate(values)) for e, img in images))
 
 
 # ---------------------------------------------------------------------------
 # gluing
 
 
-def glue_count(q: int) -> int:
-    """Number of distinct subspaces spanned by all chart points, with the
-    pointwise consistency check: wherever a point lies in an overlap, its
-    transported coordinates must span the same subspace."""
+def glued_points(q: int) -> set:
+    """The canonical representatives of all chart points, with the pointwise
+    consistency check: wherever a point lies in an overlap, its transported
+    coordinates must span the same subspace."""
     if q > QMAX:
         raise ValueError(f"q={q} exceeds the enumeration cap {QMAX}")
     charts = all_charts()
@@ -176,23 +164,16 @@ def glue_count(q: int) -> int:
             for lam2 in charts:
                 if lam2 == lam or not in_overlap(p, lam2):
                     continue
-                other = rref(point_matrix(transport(p, lam2)), q)
-                if other != rep:
+                if rref(point_matrix(transport(p, lam2)), q) != rep:
                     raise PointGluingError(
                         f"{p} transported to chart {lam2} spans a different subspace"
                     )
-    return len(reps)
-
-
-def glued_points(q: int) -> set:
-    """The canonical representatives themselves (no consistency checking)."""
-    if q > QMAX:
-        raise ValueError(f"q={q} exceeds the enumeration cap {QMAX}")
-    reps = set()
-    for lam in all_charts():
-        for p in chart_points(lam, q):
-            reps.add(rref(point_matrix(p), q))
     return reps
+
+
+def glue_count(q: int) -> int:
+    """Number of distinct subspaces spanned by all chart points."""
+    return len(glued_points(q))
 
 
 def roundtrip_failures(q: int) -> list:

@@ -152,7 +152,6 @@ class RewriteSystem:
         self._lhs_index: dict[Word, int] = {}
         self._lhs_lengths: dict[int, list[int]] = {}
         self._nf_cache: dict[Word, dict] = {}
-        self._redex_cache: dict[Word, tuple | None] = {}
         for r in rules or []:
             self.add_rule(r)
 
@@ -176,7 +175,6 @@ class RewriteSystem:
             bisect.insort(lengths, len(rule.lhs))
         self.completed_bound = None
         self._nf_cache.clear()
-        self._redex_cache.clear()
 
     def copy(self) -> "RewriteSystem":
         s = RewriteSystem(self.field)
@@ -189,9 +187,6 @@ class RewriteSystem:
 
     def find_redex(self, w: Word):
         """(position, rule index) of the leftmost, lowest-index match; None if irreducible."""
-        got = self._redex_cache.get(w)
-        if got is not None or w in self._redex_cache:
-            return got
         index = self._lhs_index
         n = len(w)
         best = None
@@ -207,7 +202,6 @@ class RewriteSystem:
                     best = (pos, idx)
             if best is not None:
                 break
-        self._redex_cache[w] = best
         return best
 
     def is_irreducible(self, w: Word) -> bool:
@@ -226,27 +220,30 @@ class RewriteSystem:
         return {wd: c for wd, c in out.items() if not f.is_zero(c)}
 
     def nf_word(self, w: Word) -> dict:
-        """Normal form of a single word, as a terms dict. Memoized."""
+        """Normal form of a single word, as a terms dict. Memoized. A word
+        waiting on its children keeps its one-step expansion on the stack."""
         cache = self._nf_cache
         got = cache.get(w)
         if got is not None:
             return got
         f = self.field
-        stack = [w]
+        stack: list[tuple[Word, dict | None]] = [(w, None)]
         while stack:
-            cur = stack[-1]
+            cur, step = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            red = self.find_redex(cur)
-            if red is None:
-                cache[cur] = {cur: f.one}
-                stack.pop()
-                continue
-            step = self._expand(cur, red[0], red[1])
+            if step is None:
+                red = self.find_redex(cur)
+                if red is None:
+                    cache[cur] = {cur: f.one}
+                    stack.pop()
+                    continue
+                step = self._expand(cur, red[0], red[1])
+                stack[-1] = (cur, step)
             missing = [u for u in step if u not in cache]
             if missing:
-                stack.extend(missing)
+                stack.extend((u, None) for u in missing)
                 continue
             acc: dict = {}
             for u, c in step.items():

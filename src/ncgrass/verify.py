@@ -30,10 +30,12 @@ from .atlas import (
     PosetIndex,
     all_charts,
     build_presheaf,
+    chart_entries,
     chart_presentation,
     direct_far_images,
     disjoint_sigmas,
     module_rules,
+    outside,
     overlap_chain,
     overlap_type,
     pair_overlap,
@@ -134,15 +136,10 @@ def _sample(field: Field, rng: random.Random):
     return Fraction(rng.randint(-9, 9))
 
 
-def _certified_point(
-    pres: AlgebraPresentation,
-    witness,
-    seed: str,
-    tries: int = 100,
-    module_chart=None,
-):
+def _certified_point(pres: AlgebraPresentation, witness, seed: str, module_chart=None):
     """A point of the presented variety (all relations satisfied, all inverted
-    elements nonzero) where the witness evaluates to a nonzero value, or None.
+    elements nonzero) where the witness evaluates to a nonzero value, or None
+    after 100 samples.
 
     Free generators get sampled values, then the presentation's definitions
     are evaluated in order; module variables over `module_chart` are sampled
@@ -154,7 +151,7 @@ def _certified_point(
     mvars = sorted(
         (s for s in witness.symbols() if sy.is_module_var(s)), key=lambda s: sy.KEY[s]
     )
-    for _ in range(tries):
+    for _ in range(100):
         values = {g: _sample(field, rng) for g in free}
         try:
             for sid, expr, as_inv in pres.definitions:
@@ -169,9 +166,7 @@ def _certified_point(
         if module_chart is not None:
             for i in module_chart:
                 values[sy.module_var(i)] = _sample(field, rng)
-            for j in range(1, 5):
-                if j in module_chart:
-                    continue
+            for j in outside(module_chart):
                 acc = field.zero
                 for i in module_chart:
                     acc = field.add(
@@ -391,8 +386,7 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
             claim += " (the displayed sign differs from the working that derives it)"
         entries.append(_reduce_check(pres, [comp - direct[e]], bound, cid, claim, alt=alt))
     pair = pair_overlap(base, far, field, formulas)
-    far_entries = [sy.entry(far, i, j) for i in far for j in range(1, 5) if j not in far]
-    subst = {e: chain.homs[far].mapping[e] for e in far_entries}
+    subst = {e: chain.homs[far].mapping[e] for e in chart_entries(far)}
     subst[sy.quasi_det(far, base)] = d2_img
     subst[sy.quasi_det_inverse(far, base)] = chain.inverse_of(d2_img)
     h = Hom(field, subst)
@@ -481,7 +475,7 @@ def verify_module_gluing(
     mapping = {g: NcPoly.gen(field, g) for g in pres.generators}
     mapping.update(pair.to_base.mapping)
     tr = Hom(field, mapping)
-    elim = module_rules(lam, 4, field)
+    elim = module_rules(lam, universal_module_relations(lam, field))
 
     def with_elimination(b):
         system = pres.completed(b).copy()
@@ -490,8 +484,7 @@ def verify_module_gluing(
         return system
 
     entries = []
-    outside = [j for j in range(1, 5) if j not in lam2]
-    for j, rel in zip(outside, universal_module_relations(lam2, 4, field)):
+    for j, rel in zip(outside(lam2), universal_module_relations(lam2, field)):
         entries.append(
             _reduce_check(
                 pres,
@@ -605,12 +598,11 @@ def verify_functoriality(
     bound: int = 10,
     field: Field = QQ,
     formulas: FormulaSet = CANONICAL,
-    presheaf=None,
 ) -> list[CheckResult]:
     """Restriction through an intermediate overlap equals direct restriction:
     chart into pair into triple against chart into triple, for every chart of
     every pair inside every triple."""
-    ps = presheaf if presheaf is not None else build_presheaf(field, formulas)
+    ps = build_presheaf(field, formulas)
     entries = []
     triples = sorted(
         (idx for idx in ps.nodes if len(idx.charts) == 3), key=lambda idx: idx.charts
@@ -621,9 +613,9 @@ def verify_functoriality(
             pidx = PosetIndex.of(a, b)
             for c in (a, b):
                 cidx = PosetIndex.of(c)
-                through_pair = ps.restrictions[(cidx, pidx)].hom
-                into_chain = ps.restrictions[(pidx, tidx)].hom
-                direct = ps.restrictions[(cidx, tidx)].hom
+                through_pair = ps.restrictions[(cidx, pidx)]
+                into_chain = ps.restrictions[(pidx, tidx)]
+                direct = ps.restrictions[(cidx, tidx)]
                 residuals = []
                 for g in ps.presentation(cidx).generators:
                     gp = NcPoly.gen(field, g)

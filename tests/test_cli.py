@@ -52,6 +52,25 @@ def test_points_selector_rejects_a_field(capsys):
     assert "--field" in err
 
 
+def test_unbounded_selectors_reject_a_bound(capsys, monkeypatch):
+    # neither selector completes a rewriting system, so no bound applies
+    for selector in ("points", "abelianization"):
+        code, _, err = run_cli(capsys, "verify", selector, "--bound", "4", "--quiet")
+        assert code == 3
+        assert "--bound" in err
+    monkeypatch.setenv("NCGRASS_BOUND", "ten")
+    code, out, _ = run_cli(capsys, "verify", "abelianization", "--quiet")
+    assert code == 0
+    assert "(bound 10, field rat)" in out
+
+
+def test_quiet_belongs_to_verify_only():
+    for argv in (["normalform", "x(3)", "-p", "F(1,2)", "--quiet"], ["export", "charts", "--quiet"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+
+
 def test_verify_bad_selector_exits_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus"])
@@ -93,6 +112,7 @@ def test_verify_json_report(capsys, tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["status"] == 0
     assert doc["field"] == "rat"
+    assert doc["bound"] == 10
     assert doc["counts"]["total"] == 6
     assert {c["id"] for c in doc["checks"]} >= {"points:q2:count", "points:q5:roundtrip"}
     assert all("elapsed" not in c for c in doc["checks"])
@@ -233,3 +253,48 @@ def test_report_is_independent_of_the_hash_seed(tmp_path):
         subprocess.run(cmd, capture_output=True, check=True, env=env)
         docs.append(path.read_bytes())
     assert docs[0] == docs[1]
+
+
+_REVERSE_INTERNING = """
+import sys
+from itertools import permutations
+from ncgrass import atlas, cli
+from ncgrass import symbols as sy
+
+charts = atlas.all_charts()
+calls = [(sy.module_var, (k,)) for k in range(1, 5)]
+for make in (sy.entry, sy.entry_inverse):
+    calls += [(make, (lam, i, j)) for lam in charts for i in lam for j in atlas.outside(lam)]
+for make in (sy.quasi_det, sy.quasi_det_inverse):
+    calls += [
+        (make, pair) for pair in permutations(charts, 2) if atlas.overlap_type(*pair) == "disjoint"
+    ]
+if sys.argv[1] == "reversed":
+    sids = [make(*args) for make, args in reversed(calls)]
+    # nothing was interned before, and this is the reverse of the natural order
+    assert sids == list(range(len(calls)))
+    assert sorted(sids, key=lambda s: sy.KEY[s]) == sids[::-1]
+for argv in sys.argv[2:]:
+    cli.main(argv.split())
+"""
+
+
+def test_report_is_independent_of_the_interning_order(tmp_path):
+    # every symbol is created in reverse natural order before the commands run
+    commands = [
+        "verify abelianization --json {dir}/abelian.json",
+        "verify points --json {dir}/points.json",
+        "verify proposition --bound 6 --json {dir}/proposition.json",
+    ]
+    docs = {}
+    for order in ("plain", "reversed"):
+        out = tmp_path / order
+        out.mkdir()
+        argv = [c.format(dir=out) for c in commands]
+        env = {**os.environ, "PYTHONHASHSEED": "0"}
+        cmd = [sys.executable, "-c", _REVERSE_INTERNING, order, *argv]
+        subprocess.run(cmd, capture_output=True, check=True, env=env)
+        docs[order] = [
+            (out / name).read_bytes() for name in ("abelian.json", "points.json", "proposition.json")
+        ]
+    assert docs["plain"] == docs["reversed"]

@@ -1,8 +1,11 @@
 """Closed points over small prime fields and the subspace-counting oracle."""
 
+from itertools import permutations
+
 import pytest
 
 from ncgrass import atlas, points
+from ncgrass import symbols as sy
 from ncgrass.points import (
     ChartPoint,
     PointGluingError,
@@ -29,6 +32,26 @@ def test_chart_points_enumeration():
     assert len({p.assignment for p in pts}) == 16
     with pytest.raises(ValueError):
         chart_points((1, 2), 4)  # not prime
+
+
+def test_points_are_read_by_position_in_chart_entries_order():
+    for lam in atlas.all_charts():
+        assert atlas.chart_presentation(lam).generators == atlas.chart_entries(lam)
+        for p in chart_points(lam, 3):
+            vals = p.values()
+            by_symbol = tuple(
+                tuple(
+                    (1 if c == i else 0) if c in lam else vals[sy.entry(lam, i, c)]
+                    for c in range(1, 5)
+                )
+                for i in lam
+            )
+            assert point_matrix(p) == by_symbol
+    for lam, lam2 in permutations(atlas.all_charts(), 2):
+        for p in chart_points(lam, 3):
+            if in_overlap(p, lam2):
+                moved = transport(p, lam2)
+                assert tuple(e for e, _ in moved.assignment) == atlas.chart_entries(lam2)
 
 
 def test_point_matrix_has_identity_in_chart_columns():
@@ -76,7 +99,7 @@ def test_pattern_counts_sum_to_the_total():
 
 
 def _point(chart, q, vals):
-    gens = points._entries(tuple(sorted(chart)))
+    gens = atlas.chart_entries(tuple(sorted(chart)))
     return ChartPoint(tuple(sorted(chart)), q, tuple(zip(gens, vals)))
 
 

@@ -44,7 +44,7 @@ def test_orient_picks_the_leading_word():
 
 
 def test_orient_module_eliminates_the_outside_variable():
-    rel = next(iter(atlas.universal_module_relations((1, 2), 4, QQ)))
+    rel = next(iter(atlas.universal_module_relations((1, 2), QQ)))
     j = next(
         s
         for w in rel.terms
@@ -152,14 +152,14 @@ def test_commutative_dimension_of_a_polynomial_ring():
 
 
 def test_module_rules_eliminate_outside_variables():
-    pres = atlas.chart_presentation((1, 2), with_module=True)
-    system = pres.completed(4)
-    x3 = NcPoly.gen(QQ, sy.module_var(3))
-    a13 = NcPoly.gen(QQ, sy.entry((1, 2), 1, 3))
-    a23 = NcPoly.gen(QQ, sy.entry((1, 2), 2, 3))
-    x1 = NcPoly.gen(QQ, sy.module_var(1))
-    x2 = NcPoly.gen(QQ, sy.module_var(2))
-    assert system.normal_form(x3) == a13 * x1 + a23 * x2
+    x = lambda k: NcPoly.gen(QQ, sy.module_var(k))
+    for lam in atlas.all_charts():
+        system = atlas.chart_presentation(lam, with_module=True).completed(4)
+        for j in atlas.outside(lam):
+            expansion = NcPoly.zero(QQ)
+            for i in lam:
+                expansion = expansion + NcPoly.gen(QQ, sy.entry(lam, i, j)) * x(i)
+            assert system.normal_form(x(j)) == expansion
 
 
 def _rule_list_digest(system):
