@@ -14,8 +14,9 @@ homomorphisms into that localization.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import symbols as sy
 from .fields import QQ, Field
@@ -335,18 +336,13 @@ CANONICAL = FormulaSet()
 
 def sign_sites() -> list[tuple]:
     """Every (group, target, term index) carrying a sign in the displayed
-    canonical transition formulas."""
-    sites = []
-    for gname in (
-        "adjacent_to_base",
-        "adjacent_from_base",
-        "disjoint_to_base",
-        "disjoint_from_base",
-    ):
-        for target, terms in getattr(CANONICAL, gname):
-            for ti in range(len(terms)):
-                sites.append((gname, target, ti))
-    return sites
+    canonical transition formulas, groups in field order."""
+    return [
+        (f.name, target, ti)
+        for f in dataclasses.fields(FormulaSet)
+        for target, terms in getattr(CANONICAL, f.name)
+        for ti in range(len(terms))
+    ]
 
 
 def flip_sign(formulas: FormulaSet, site: tuple) -> FormulaSet:
@@ -358,9 +354,7 @@ def flip_sign(formulas: FormulaSet, site: tuple) -> FormulaSet:
                 ((-sg if k == ti else sg), word) for k, (sg, word) in enumerate(terms)
             )
         group.append((tgt, terms))
-    return FormulaSet(**{**{g: getattr(formulas, g) for g in (
-        "adjacent_to_base", "adjacent_from_base", "disjoint_to_base", "disjoint_from_base"
-    )}, gname: tuple(group)})
+    return dataclasses.replace(formulas, **{gname: tuple(group)})
 
 
 def _desc_sid(desc: tuple, sigma: dict, lam: Chart, lam2: Chart) -> int:
@@ -398,19 +392,14 @@ def adjacent_sigma(lam, lam2) -> dict:
     return {1: only1, 2: common, 3: only2, 4: rest}
 
 
-def disjoint_sigmas(lam, lam2) -> list[dict]:
-    """All four permutations carrying ({1,2},{3,4}) to (lam, lam2) as chart
-    pairs, lexicographically least first. The first and last agree on the
-    quasi-determinant; the middle two produce its negative."""
+def disjoint_sigma(lam, lam2) -> dict:
+    """The lexicographically least permutation of {1..4} carrying
+    ({1,2},{3,4}) to (lam, lam2) as chart pairs: each chart in increasing
+    order. Under it the canonical quasi-determinants are quasi_det_element's."""
     lam, lam2 = _chart(lam), _chart(lam2)
     if overlap_type(lam, lam2) != "disjoint":
         raise ValueError(f"charts {lam}, {lam2} are not disjoint")
-    out = []
-    for r in permutations(lam):
-        for s in permutations(lam2):
-            out.append({1: r[0], 2: r[1], 3: s[0], 4: s[1]})
-    out.sort(key=lambda sg: (sg[1], sg[2], sg[3], sg[4]))
-    return out
+    return {1: lam[0], 2: lam[1], 3: lam2[0], 4: lam2[1]}
 
 
 def pivot_entry(lam, lam2) -> int:
@@ -502,30 +491,17 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
     adjacent case, neither single-chart localization supports the transition
     on its own: the quasi-determinant is not central, so the far chart's
     commutation relations and both formula groups carry independent content.
-    The transporting permutation is the lexicographically least suitable
-    one."""
+    The transporting permutation is disjoint_sigma."""
     lam, lam2 = _chart(lam), _chart(lam2)
-    sigma = disjoint_sigmas(lam, lam2)[0]
+    sigma = disjoint_sigma(lam, lam2)
     dsym = sy.quasi_det(lam, lam2)
     dinv = sy.quasi_det_inverse(lam, lam2)
     d2sym = sy.quasi_det(lam2, lam)
     d2inv = sy.quasi_det_inverse(lam2, lam)
     gens = chart_entries(lam)
     gens2 = chart_entries(lam2)
-    det_sigma = NcPoly.from_pairs(
-        field,
-        [
-            (1, (sy.entry(lam, sigma[1], sigma[3]), sy.entry(lam, sigma[2], sigma[4]))),
-            (-1, (sy.entry(lam, sigma[1], sigma[4]), sy.entry(lam, sigma[2], sigma[3]))),
-        ],
-    )
-    det2_sigma = NcPoly.from_pairs(
-        field,
-        [
-            (1, (sy.entry(lam2, sigma[3], sigma[1]), sy.entry(lam2, sigma[4], sigma[2]))),
-            (-1, (sy.entry(lam2, sigma[3], sigma[2]), sy.entry(lam2, sigma[4], sigma[1]))),
-        ],
-    )
+    det_elt = quasi_det_element(lam, lam2, field)
+    det2_elt = quasi_det_element(lam2, lam, field)
     dpoly = NcPoly.gen(field, dsym)
     d2poly = NcPoly.gen(field, d2sym)
     to_map = _materialize(formulas.group("disjoint_to_base"), sigma, lam, lam2, field)
@@ -539,13 +515,13 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
         generators=gens + gens2 + (dsym, dinv, d2sym, d2inv),
         commutation_relations=tuple(chart_relations(lam, field))
         + tuple(chart_relations(lam2, field)),
-        definition_relations=(det_sigma - dpoly, det2_sigma - d2poly) + subst,
+        definition_relations=(det_elt - dpoly, det2_elt - d2poly) + subst,
         inverse_relations=_inverse_pair_relations(field, dpoly, dinv)
         + _inverse_pair_relations(field, d2poly, d2inv),
-        definitions=((dsym, det_sigma, False), (dinv, det_sigma, True))
+        definitions=((dsym, det_elt, False), (dinv, det_elt, True))
         + tuple((s, img, False) for s, img in to_map.items())
-        + ((d2sym, det2_sigma, False), (d2inv, det2_sigma, True)),
-        inverted=(det_sigma,),
+        + ((d2sym, det2_elt, False), (d2inv, det2_elt, True)),
+        inverted=(det_elt,),
     )
     to_base = Hom(
         field,
@@ -615,22 +591,16 @@ class ChainOverlap:
     def field(self) -> Field:
         return self.presentation.field
 
-    def inverse_of(self, elt: NcPoly, bound: int | None = None):
+    def inverse_of(self, elt: NcPoly):
         """An inverse of elt in the presentation, if one is structurally known.
 
         Single words invert letter by letter; other elements are matched
-        against the recorded invertible elements (syntactically, then modulo
-        reduction when a bound is supplied)."""
+        syntactically against the recorded invertible elements."""
         if len(elt.terms) == 1:
             return _word_inverse(elt, self._letter_inverse)
         for known, inv in self.known_inverses:
             if known == elt:
                 return inv
-        if bound is not None:
-            system = self.presentation.completed(bound)
-            for known, inv in self.known_inverses:
-                if system.normal_form(elt - known).is_zero():
-                    return inv
         return None
 
     def _letter_inverse(self, s: int) -> NcPoly:
@@ -875,7 +845,7 @@ class Presheaf:
         return node if isinstance(node, AlgebraPresentation) else node.presentation
 
 
-def _pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap, bound: int = 8) -> Hom:
+def _pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     """Restriction from a pair overlap into a chain overlap containing both
     charts. Chart entries go through the chain's own Homs; adjoined symbols
     resolve through the pair's definitions and the chain's known invertibles."""
@@ -896,7 +866,7 @@ def _pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap, bound: int = 8) -
         if not as_inv:
             mapping[sid] = img
             continue
-        inv = chain.inverse_of(img, bound)
+        inv = chain.inverse_of(img)
         if inv is None:
             raise ValueError(
                 f"cannot express inverse of {poly_str(img)} in {chain.presentation.name}"

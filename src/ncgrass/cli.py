@@ -28,6 +28,7 @@ SELECTORS = (
     "cocycle",
     "module-gluing",
     "abelianization",
+    "functoriality",
     "points",
 )
 # selectors whose checks complete no rewriting system, so no bound applies
@@ -150,6 +151,8 @@ def _selected_report(args, bound: int, field: Field) -> verify.VerificationRepor
         entries = verify.suite_module_gluing(bound=bound, field=field)
     elif sel == "abelianization":
         entries = verify.verify_abelianizations(field=field)
+    elif sel == "functoriality":
+        entries = verify.verify_functoriality(bound=bound, field=field)
     else:
         entries = verify.verify_points()
     return verify.VerificationReport(entries, bound, field.key)

@@ -1,8 +1,8 @@
 """Closed points of the atlas over small prime fields.
 
-A chart point is an assignment of field values to the four chart entries; it
-only sees the abelianization, so transport between charts evaluates the
-abelianized transition formulas. Each point spans a 2-dimensional subspace of
+A chart point is an assignment of field values to the four chart entries.
+Evaluation is commutative, so transport between charts evaluates the
+transition formulas directly. Each point spans a 2-dimensional subspace of
 F_q^4 (the chart matrix: identity in the chart columns, entries elsewhere),
 and the canonical representative of a glued point is the reduced row-echelon
 form of that matrix. An independent oracle enumerates the echelon matrices
@@ -18,7 +18,6 @@ from itertools import combinations, product
 from . import symbols as sy
 from .atlas import all_charts, chart_entries, new_cache, pair_overlap
 from .fields import GF
-from .poly import abelianize
 
 QMAX = 7  # enumeration stays desk-scale up to here
 
@@ -91,57 +90,47 @@ def rref(mat, q: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# transport along abelianized transition formulas
+# transport along the transition formulas
 
 
 _transition_cache = new_cache()
 
 
 def _transition_data(lam, lam2, q: int):
-    """The overlap's abelianized inverted elements and definitions, and the
-    (entry, abelianized image) pairs of lam2's entries in chart_entries order."""
+    """The overlap's inverted elements and definitions, and the (entry, image)
+    pairs of lam2's entries in chart_entries order."""
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
     if got is None:
-        field = GF(q)
-        pair = pair_overlap(lam, lam2, field)
-        inverted = [abelianize(u) for u in pair.presentation.inverted]
-        definitions = [
-            (sid, abelianize(expr), as_inv) for sid, expr, as_inv in pair.presentation.definitions
-        ]
-        images = tuple((e, abelianize(pair.to_base.mapping[e])) for e in chart_entries(lam2))
-        got = (inverted, definitions, images)
+        pair = pair_overlap(lam, lam2, GF(q))
+        images = tuple((e, pair.to_base.mapping[e]) for e in chart_entries(lam2))
+        got = (pair.presentation.inverted, pair.presentation.definitions, images)
         _transition_cache[key] = got
     return got
 
 
-def in_overlap(p: ChartPoint, lam2) -> bool:
-    """Whether the point lies in the overlap with the other chart: every
-    abelianized inverted element of the overlap presentation is nonzero."""
-    lam2 = tuple(sorted(lam2))
-    if lam2 == p.chart:
-        return True
-    field = GF(p.q)
-    inverted, _, _ = _transition_data(p.chart, lam2, p.q)
-    values = p.values()
-    return all(not field.is_zero(u.evaluate(values)) for u in inverted)
-
-
-def transport(p: ChartPoint, lam2) -> ChartPoint:
+def transport(p: ChartPoint, lam2) -> ChartPoint | None:
     """The same subspace in the other chart's coordinates, computed through
-    the abelianized transition formulas. The point must lie in the overlap."""
+    the transition formulas, or None when an inverted element of the overlap
+    vanishes at the point. Each inverted element is also the expression of an
+    inverse definition, so the inverted elements are evaluated only after a
+    division by zero."""
     lam2 = tuple(sorted(lam2))
     if lam2 == p.chart:
         return p
     field = GF(p.q)
-    _, definitions, images = _transition_data(p.chart, lam2, p.q)
+    inverted, definitions, images = _transition_data(p.chart, lam2, p.q)
     values = p.values()
     try:
         for sid, expr, as_inv in definitions:
             v = expr.evaluate(values)
             values[sid] = field.inv(v) if as_inv else v
     except ZeroDivisionError:
-        raise PointGluingError(f"{p} lies outside the overlap with chart {lam2}")
+        if any(field.is_zero(u.evaluate(values)) for u in inverted):
+            return None
+        raise PointGluingError(
+            f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
+        ) from None
     return ChartPoint(lam2, p.q, tuple((e, img.evaluate(values)) for e, img in images))
 
 
@@ -162,9 +151,10 @@ def glued_points(q: int) -> set:
             rep = rref(point_matrix(p), q)
             reps.add(rep)
             for lam2 in charts:
-                if lam2 == lam or not in_overlap(p, lam2):
+                if lam2 == lam:
                     continue
-                if rref(point_matrix(transport(p, lam2)), q) != rep:
+                moved = transport(p, lam2)
+                if moved is not None and rref(point_matrix(moved), q) != rep:
                     raise PointGluingError(
                         f"{p} transported to chart {lam2} spans a different subspace"
                     )
@@ -188,14 +178,13 @@ def roundtrip_failures(q: int) -> list:
             if lam2 == lam:
                 continue
             for p in chart_points(lam, q):
-                if not in_overlap(p, lam2):
-                    continue
                 p2 = transport(p, lam2)
-                if not in_overlap(p2, lam):
-                    bad.append(f"{p} left the reverse overlap with {lam}")
+                if p2 is None:
                     continue
                 back = transport(p2, lam)
-                if back != p:
+                if back is None:
+                    bad.append(f"{p} left the reverse overlap with {lam}")
+                elif back != p:
                     bad.append(f"{p} came back as {back}")
     return bad
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from . import symbols as sy
 from .fields import Field, check_same_field
-from .poly import NcPoly, Word, mul_words, order_key, word_weight
+from .poly import NcPoly, Word, abelianize, mul_words, order_key, word_weight
 
 
 class RewriteRule:
@@ -81,28 +81,16 @@ def orient_module(relation: NcPoly, eliminated: int) -> RewriteRule:
     return RewriteRule(lhs, rhs, is_module=True)
 
 
-@dataclass
-class Ambiguity:
-    """One superposition of two rule lhs words, by its weight, with its two
-    one-step reductions."""
-
-    weight: int
-    left: NcPoly
-    right: NcPoly
-
-    def difference(self) -> NcPoly:
-        return self.left - self.right
-
-
 def overlap_ambiguities(
     r1: RewriteRule, r2: RewriteRule, field: Field, lo: int, hi: int
-) -> list[tuple[int, Ambiguity]]:
+) -> list[tuple[int, int, NcPoly]]:
     """All proper overlaps (suffix of r1.lhs = prefix of r2.lhs) and inclusions
     of r2.lhs inside r1.lhs whose superposition weight lies in (lo, hi], each
-    as (k, ambiguity). The weight comes from the two lhs words, so no
-    polynomial is built outside the window; k counts every superposition in
-    enumeration order, those outside the window included, so it does not
-    depend on the window. Module rules never superpose with anything."""
+    as (weight, k, difference of its two one-step reductions). The weight
+    comes from the two lhs words, so no polynomial is built outside the
+    window; k counts every superposition in enumeration order, those outside
+    the window included, so it does not depend on the window. Module rules
+    never superpose with anything."""
     u, v = r1.lhs, r2.lhs
     first = v[0]
     # every overlap and inclusion puts v's first letter somewhere in u
@@ -121,7 +109,7 @@ def overlap_ambiguities(
             head = u[: nu - o]
             left = r1.rhs * NcPoly.from_word(field, tail) if tail else r1.rhs
             right = NcPoly.from_word(field, head) * r2.rhs if head else r2.rhs
-            out.append((k, Ambiguity(wt, left, right)))
+            out.append((wt, k, left - right))
     # inclusions come last and all have the weight of u, so when they fall
     # outside the window no later index needs counting
     if nv <= nu and lo < r1.weight <= hi:
@@ -133,7 +121,7 @@ def overlap_ambiguities(
                     mid = NcPoly.from_word(field, u[:pos]) * mid
                 if pos + nv < nu:
                     mid = mid * NcPoly.from_word(field, u[pos + nv :])
-                out.append((k, Ambiguity(r1.weight, r1.rhs, mid)))
+                out.append((r1.weight, k, r1.rhs - mid))
     return out
 
 
@@ -154,16 +142,6 @@ class RewriteSystem:
         self._nf_cache: dict[Word, dict] = {}
         for r in rules or []:
             self.add_rule(r)
-
-    @staticmethod
-    def from_relations(field: Field, relations, module_rules=()) -> "RewriteSystem":
-        s = RewriteSystem(field)
-        for rel in relations:
-            check_same_field(field, rel.field)
-            s.add_rule(orient(rel))
-        for mr in module_rules:
-            s.add_rule(mr)
-        return s
 
     def add_rule(self, rule: RewriteRule) -> None:
         """Append a rule. The system is no longer known to be complete, so it
@@ -296,14 +274,13 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     lo = system.completed_bound if system.completed_bound is not None else -1
     s = system.copy()
     f = s.field
+    # entries (weight, i, j, k, difference): the first four are unique, so
+    # the heap never compares two polynomials
     heap: list = []
-    records: dict = {}
 
     def push_pair(i: int, j: int, above: int) -> None:
-        for k, amb in overlap_ambiguities(s.rules[i], s.rules[j], f, above, bound):
-            key = (amb.weight, i, j, k)
-            records[key] = amb
-            heapq.heappush(heap, key)
+        for wt, k, diff in overlap_ambiguities(s.rules[i], s.rules[j], f, above, bound):
+            heapq.heappush(heap, (wt, i, j, k, diff))
 
     if not s.collapsed:
         n0 = len(s.rules)
@@ -312,9 +289,7 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
                 push_pair(i, j, lo)
 
     while heap:
-        key = heapq.heappop(heap)
-        amb = records.pop(key)
-        h = s.normal_form(amb.difference())
+        h = s.normal_form(heapq.heappop(heap)[-1])
         if h.is_zero():
             continue
         if h.leading()[0] == ():
@@ -414,13 +389,11 @@ def count_irreducible_words(system: RewriteSystem, generators, weight: int) -> i
 
 
 def commutative_truncated_dimension(field: Field, generators, relations, degree: int) -> int:
-    """Same oracle for the abelianization: monomials are sorted tuples."""
-    from itertools import combinations_with_replacement
-
+    """Same oracle for the abelianization: monomials are sorted words, and
+    each row is a monomial times a relation, abelianized."""
     gens = sorted(generators, key=lambda s: sy.KEY[s])
     if any(sy.WEIGHT[g] != 1 for g in gens):
         raise ValueError("commutative oracle expects weight-1 generators")
-    monomials = [tuple(m) for m in combinations_with_replacement(gens, degree)]
     rows = []
     for rel in relations:
         degs = {len(m) for m in rel.terms}
@@ -432,13 +405,6 @@ def commutative_truncated_dimension(field: Field, generators, relations, degree:
         if k > degree:
             continue
         for m in combinations_with_replacement(gens, degree - k):
-            row: dict = {}
-            for rm, c in rel.terms.items():
-                mm = tuple(sorted(m + rm, key=lambda s: sy.KEY[s]))
-                c0 = row.get(mm)
-                row[mm] = field.add(c0, c) if c0 is not None else c
-            row = {m2: c for m2, c in row.items() if not field.is_zero(c)}
-            if row:
-                rows.append(row)
-    monkey = lambda m: tuple(sy.KEY[s] for s in m)
-    return len(monomials) - _rank(rows, field, monkey)
+            rows.append(abelianize(NcPoly.from_word(field, m) * rel).terms)
+    monomials = len(list(combinations_with_replacement(gens, degree)))
+    return monomials - _rank(rows, field, order_key)

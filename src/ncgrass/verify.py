@@ -33,7 +33,7 @@ from .atlas import (
     chart_entries,
     chart_presentation,
     direct_far_images,
-    disjoint_sigmas,
+    disjoint_sigma,
     module_rules,
     outside,
     overlap_chain,
@@ -143,9 +143,11 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str, module_chart
 
     Free generators get sampled values, then the presentation's definitions
     are evaluated in order; module variables over `module_chart` are sampled
-    on the chart rows and eliminated outside them."""
+    on the chart rows and set to their elimination rules' values outside them."""
     field = pres.field
     rng = random.Random("ncgrass:" + seed)
+    if module_chart is not None:
+        elim = module_rules(module_chart, universal_module_relations(module_chart, field))
     defined = {sid for sid, _, _ in pres.definitions}
     free = [g for g in pres.generators if g not in defined]
     mvars = sorted(
@@ -166,14 +168,8 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str, module_chart
         if module_chart is not None:
             for i in module_chart:
                 values[sy.module_var(i)] = _sample(field, rng)
-            for j in outside(module_chart):
-                acc = field.zero
-                for i in module_chart:
-                    acc = field.add(
-                        acc,
-                        field.mul(values[sy.entry(module_chart, i, j)], values[sy.module_var(i)]),
-                    )
-                values[sy.module_var(j)] = acc
+            for rule in elim:
+                values[rule.lhs[0]] = rule.rhs.evaluate(values)
         else:
             for x in mvars:
                 values[x] = _sample(field, rng)
@@ -227,6 +223,18 @@ def _reduce_check(
         )
     return CheckResult(
         check_id, claim, f"Inconclusive(bound={bound})", bound, None, time.perf_counter() - t0
+    )
+
+
+def _decided(check_id: str, claim: str, ok: bool, witness: str | None, t0: float) -> CheckResult:
+    """A check decided without completion: Verified, or Failed with its witness."""
+    return CheckResult(
+        check_id,
+        claim,
+        "Verified" if ok else "Failed",
+        0,
+        None if ok else witness,
+        time.perf_counter() - t0,
     )
 
 
@@ -370,7 +378,7 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
             f"the composite image of the R({_cn(far)}) quasi-determinant times the R({_cn(base)}) one reduces to 1",
         ),
     ]
-    sigma0 = disjoint_sigmas(base, far)[0]
+    sigma0 = disjoint_sigma(base, far)
     a41 = sy.entry(far, sigma0[4], sigma0[1])
     direct = direct_far_images(chain, formulas)
     for e in sorted(direct, key=lambda s: sy.KEY[s]):
@@ -556,14 +564,7 @@ def verify_abelianizations(
                 "1, 4, 10, 20, 35 of a polynomial ring in four variables"
             )
             entries.append(
-                CheckResult(
-                    cid,
-                    claim,
-                    "Verified" if dims == expected else "Failed",
-                    0,
-                    None if dims == expected else f"computed dimensions {dims}",
-                    time.perf_counter() - t0,
-                )
+                _decided(cid, claim, dims == expected, f"computed dimensions {dims}", t0)
             )
             continue
 
@@ -582,13 +583,8 @@ def verify_abelianizations(
             f"are exactly {_set_str(expected_set)}"
         )
         entries.append(
-            CheckResult(
-                cid,
-                claim,
-                "Verified" if computed == expected_set else "Failed",
-                0,
-                None if computed == expected_set else f"computed set {_set_str(computed)}",
-                time.perf_counter() - t0,
+            _decided(
+                cid, claim, computed == expected_set, f"computed set {_set_str(computed)}", t0
             )
         )
     return entries
@@ -653,16 +649,7 @@ def verify_points(qs=(2, 3, 5)) -> list[CheckResult]:
             ok, witness = count == oracle, f"glued {count}, oracle {oracle}"
         except pts.PointGluingError as e:
             ok, witness = False, str(e)
-        entries.append(
-            CheckResult(
-                cid,
-                claim,
-                "Verified" if ok else "Failed",
-                0,
-                None if ok else witness,
-                time.perf_counter() - t0,
-            )
-        )
+        entries.append(_decided(cid, claim, ok, witness, t0))
         t0 = time.perf_counter()
         bad = pts.roundtrip_failures(q)
         cid = f"points:q{q}:roundtrip"
@@ -670,16 +657,8 @@ def verify_points(qs=(2, 3, 5)) -> list[CheckResult]:
             f"transporting every overlap point of every ordered chart pair over F_{q} "
             "forward and back returns the original assignment"
         )
-        entries.append(
-            CheckResult(
-                cid,
-                claim,
-                "Verified" if not bad else "Failed",
-                0,
-                None if not bad else f"{len(bad)} roundtrip failures, first: {bad[0]}",
-                time.perf_counter() - t0,
-            )
-        )
+        witness = f"{len(bad)} roundtrip failures, first: {bad[0]}" if bad else None
+        entries.append(_decided(cid, claim, not bad, witness, t0))
     return entries
 
 

@@ -32,6 +32,15 @@ def test_verify_lemma_starved_bound_exit_two(capsys):
     assert "20 inconclusive" in out
 
 
+def test_verify_functoriality_selector(capsys):
+    code, out, _ = run_cli(capsys, "verify", "functoriality", "--bound", "8", "--quiet")
+    assert code == 0
+    assert "checked 120: 120 verified, 0 failed, 0 inconclusive" in out
+    code, out, _ = run_cli(capsys, "verify", "functoriality", "--bound", "6", "--quiet")
+    assert code == 2
+    assert "checked 120: 105 verified, 0 failed, 15 inconclusive" in out
+
+
 def test_verify_single_cocycle_triple(capsys):
     code, out, _ = run_cli(capsys, "verify", "cocycle", "--triple", "1,2:2,3:3,4", "--quiet")
     assert code == 0

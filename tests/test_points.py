@@ -6,6 +6,8 @@ import pytest
 
 from ncgrass import atlas, points
 from ncgrass import symbols as sy
+from ncgrass.fields import GF
+from ncgrass.poly import NcPoly
 from ncgrass.points import (
     ChartPoint,
     PointGluingError,
@@ -14,7 +16,6 @@ from ncgrass.points import (
     gaussian_count,
     glue_count,
     glued_points,
-    in_overlap,
     point_matrix,
     roundtrip_failures,
     rref,
@@ -49,8 +50,8 @@ def test_points_are_read_by_position_in_chart_entries_order():
             assert point_matrix(p) == by_symbol
     for lam, lam2 in permutations(atlas.all_charts(), 2):
         for p in chart_points(lam, 3):
-            if in_overlap(p, lam2):
-                moved = transport(p, lam2)
+            moved = transport(p, lam2)
+            if moved is not None:
                 assert tuple(e for e, _ in moved.assignment) == atlas.chart_entries(lam2)
 
 
@@ -106,18 +107,42 @@ def _point(chart, q, vals):
 def test_in_overlap_and_transport_golden():
     # the subspace spanned by e1+e3 and e2+e4 lies in every chart
     p = _point((1, 2), 2, (1, 0, 0, 1))
-    assert in_overlap(p, (3, 4))
     far = transport(p, (3, 4))
+    assert far is not None
     assert far.chart == (3, 4)
     assert rref(point_matrix(far), 2) == rref(point_matrix(p), 2)
 
 
-def test_transport_out_of_the_overlap_is_an_error():
+def test_transport_out_of_the_overlap_is_none():
     # the coordinate subspace spanned by e1, e2 misses chart (3,4) entirely
     p = _point((1, 2), 2, (0, 0, 0, 0))
-    assert not in_overlap(p, (3, 4))
+    assert transport(p, (3, 4)) is None
+
+
+def test_transport_is_none_exactly_off_the_other_charts_minor():
+    # a point lies in chart lam2 when its matrix is invertible on lam2's
+    # columns, which the transition formulas play no part in
+    for q in (2, 3):
+        for lam, lam2 in permutations(atlas.all_charts(), 2):
+            c1, c2 = lam2
+            for p in chart_points(lam, q):
+                m = point_matrix(p)
+                minor = m[0][c1 - 1] * m[1][c2 - 1] - m[0][c2 - 1] * m[1][c1 - 1]
+                assert (transport(p, lam2) is None) == (minor % q == 0), (p, lam2)
+
+
+def test_transport_inside_the_overlap_that_divides_by_zero_is_an_error(monkeypatch):
+    # an inverse definition whose expression vanishes while the inverted
+    # element does not is a fault in the formulas, not a point off the overlap
+    lam, lam2 = (1, 2), (1, 3)
+    inverted, definitions, images = points._transition_data(lam, lam2, 2)
+    sid, _, _ = definitions[0]
+    broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(definitions[1:])
+    monkeypatch.setitem(points._transition_cache, (lam, lam2, 2), (inverted, broken, images))
+    p = _point(lam, 2, (1, 1, 1, 1))
+    assert not any(GF(2).is_zero(u.evaluate(p.values())) for u in inverted)
     with pytest.raises(PointGluingError):
-        transport(p, (3, 4))
+        transport(p, lam2)
 
 
 def test_transport_roundtrip_is_clean():
@@ -139,7 +164,7 @@ def test_chart_point_str():
 
 
 def test_clear_caches_empties_the_transition_cache():
-    in_overlap(chart_points((1, 2), 2)[0], (1, 3))
+    transport(chart_points((1, 2), 2)[0], (1, 3))
     assert points._transition_cache
     atlas.clear_caches()
     assert not points._transition_cache

@@ -149,6 +149,11 @@ def test_commutative_dimension_of_a_polynomial_ring():
     # no honest relations: binomial coefficients of a 4-variable polynomial ring
     for d, expect in enumerate([1, 4, 10, 20, 35]):
         assert commutative_truncated_dimension(QQ, gens, rels, d) == expect
+    # the quadric a13*a24 - a14*a23 cuts a 3-dimensional cone: (d+1)^2 in degree d
+    a13, a14, a23, a24 = (NcPoly.gen(QQ, g) for g in gens)
+    quadric = [abelianize(a13 * a24 - a14 * a23)]
+    for d, expect in enumerate([1, 4, 9, 16, 25]):
+        assert commutative_truncated_dimension(QQ, gens, quadric, d) == expect
 
 
 def test_module_rules_eliminate_outside_variables():

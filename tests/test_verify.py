@@ -126,6 +126,16 @@ def test_flipped_disjoint_sign_is_caught_by_the_lemma_suite():
     assert all(r.witness for r in failed)
 
 
+def test_flipped_sign_fails_module_gluing_with_a_certified_witness():
+    site = ("adjacent_to_base", ("a", 1, 3, 1), 0)
+    mutated = atlas.flip_sign(atlas.CANONICAL, site)
+    entries = verify.verify_module_gluing((1, 2), (2, 3), bound=6, formulas=mutated)
+    failed = [(r.check_id, r.witness) for r in entries if r.failed]
+    assert failed == [
+        ("module(1,2|2,3):x(1)", "2*a(1,2;1,3)^-1*a(1,2;2,3)*x(2) + 2*x(1)")
+    ]
+
+
 def test_failed_sign_check_notes_the_opposite_sign():
     site = ("disjoint_to_base", ("a", 1, 4, 1), 0)
     mutated = atlas.flip_sign(atlas.CANONICAL, site)
