@@ -1,7 +1,8 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields F_q.
 
-Scalars are raw values (fractions.Fraction for the rationals, ints in [0, q)
-for F_q); all arithmetic goes through a Field object so polynomial code stays
+Scalars are raw values (for the rationals an int while integral and a
+fractions.Fraction once a division makes one; ints in [0, q) for F_q); all
+arithmetic goes through a Field object so polynomial code stays
 field-agnostic. No floating point anywhere.
 """
 
@@ -31,19 +32,22 @@ class Field:
 
 
 class Rationals(Field):
-    """Exact rational numbers. Fraction keeps lowest terms and a positive denominator."""
+    """Exact rational numbers. Integral values are coerced to ints, and
+    arithmetic on ints stays in ints: only the inverse of a value other than
+    +-1 makes a Fraction (lowest terms, positive denominator). An int and a
+    Fraction of the same value compare and hash alike."""
 
     key = "rat"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return value
         if isinstance(value, str):
-            return Fraction(value)
+            value = Fraction(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         raise FieldMismatchError(f"cannot coerce {value!r} into {self.key}")
 
     def add(self, a, b):
@@ -61,6 +65,8 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if a == 1 or a == -1:
+            return a
         return 1 / Fraction(a)
 
     def is_zero(self, a) -> bool:

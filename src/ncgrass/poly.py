@@ -12,10 +12,9 @@ fixed weight, which is what the rewrite engine needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import symbols as sy
-from .fields import Field, QQ, check_same_field
+from .fields import Field, Rationals, check_same_field
 
 Word = tuple  # tuple[int, ...]
 
@@ -214,7 +213,7 @@ class NcPoly:
 
 
 def _coeff_is_negative(field: Field, c) -> bool:
-    return isinstance(c, Fraction) and c < 0
+    return isinstance(field, Rationals) and c < 0
 
 
 def poly_str(p: NcPoly) -> str:

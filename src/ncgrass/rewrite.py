@@ -6,11 +6,14 @@ broken by lowest rule index. Redexes are found through an index from each lhs
 word to its lowest rule index, probed at each position with the lhs lengths
 that start with the letter there. Completion resolves every overlap and
 inclusion ambiguity whose superposition word has weight at most the bound; by
-the diamond lemma this makes normal forms unique below that weight. The
-weight of a superposition is read off the two lhs words, so no polynomial is
-built for an ambiguity above the bound. Completing a system already completed
-at a lower bound resumes it and gives exactly the rules of a run from the
-original rules (the argument is in complete).
+the diamond lemma this makes normal forms unique below that weight. It finds
+the rule pairs that superpose through a second index, from the proper
+prefixes, proper suffixes and subwords of the lhs words to their rules, so a
+pair with no ambiguity is never looked at. The weight of a superposition is
+read off the two lhs words, so no polynomial is built for an ambiguity above
+the bound. Completing a system already completed at a lower bound resumes it
+and gives exactly the rules of a run from the original rules (the argument is
+in complete).
 """
 
 from __future__ import annotations
@@ -91,11 +94,10 @@ def overlap_ambiguities(
     window; k counts every superposition in enumeration order, those outside
     the window included, so it does not depend on the window. Module rules
     never superpose with anything."""
+    if r1.is_module or r2.is_module:
+        return []
     u, v = r1.lhs, r2.lhs
     first = v[0]
-    # every overlap and inclusion puts v's first letter somewhere in u
-    if r1.is_module or r2.is_module or first not in u:
-        return []
     out = []
     k = -1
     nu, nv = len(u), len(v)
@@ -260,6 +262,17 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     surviving difference is oriented and appended in that order. Each ordered
     rule pair is enumerated once, so that key is unique.
 
+    Only pairs that superpose are enumerated. An index over the lhs words of
+    the rules so far maps each proper prefix, each proper suffix and each
+    subword to the rules whose lhs has it, and each lhs to its rules. A rule m
+    is entered when it is added, and its partners k <= m are read off: (k, m)
+    when a proper prefix of m's lhs is a proper suffix of k's or k's lhs
+    contains m's, and (m, k) when a proper suffix of m's lhs is a proper
+    prefix of k's or m's lhs contains k's. Every other pair has no
+    ambiguity, so the heap receives the entries of an all-pairs scan, and the
+    heap order does not depend on the order of the pushes. The base rules
+    are entered one at a time in the same way.
+
     A system returned by complete at a bound c < `bound` is resumed: only its
     ambiguities of weight in (c, bound] are seeded. This yields exactly the
     rules of a run from the original rules. Such a run pops every task of
@@ -277,16 +290,46 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     # entries (weight, i, j, k, difference): the first four are unique, so
     # the heap never compares two polynomials
     heap: list = []
+    # the pair index: word -> indices of the rules entered so far
+    prefixes: dict[Word, list[int]] = {}
+    suffixes: dict[Word, list[int]] = {}
+    containing: dict[Word, list[int]] = {}
+    by_lhs: dict[Word, list[int]] = {}
 
     def push_pair(i: int, j: int, above: int) -> None:
         for wt, k, diff in overlap_ambiguities(s.rules[i], s.rules[j], f, above, bound):
             heapq.heappush(heap, (wt, i, j, k, diff))
 
+    def enter(m: int, above: int) -> None:
+        """Index rule m and push its ambiguities with every rule k <= m."""
+        if s.rules[m].is_module:  # module rules never superpose
+            return
+        u = s.rules[m].lhs
+        n = len(u)
+        subwords = {u[a:b] for a in range(n) for b in range(a + 1, n + 1)}
+        for o in range(1, n):
+            prefixes.setdefault(u[:o], []).append(m)
+            suffixes.setdefault(u[o:], []).append(m)
+        for w in subwords:
+            containing.setdefault(w, []).append(m)
+        by_lhs.setdefault(u, []).append(m)
+        # the partners k of the pairs (k, m) and of the pairs (m, k)
+        left = set(containing[u])
+        right = set()
+        for o in range(1, n):
+            left.update(suffixes.get(u[:o], ()))
+            right.update(prefixes.get(u[o:], ()))
+        for w in subwords:
+            right.update(by_lhs.get(w, ()))
+        right.discard(m)  # (m, m) is in left
+        for k in left:
+            push_pair(k, m, above)
+        for k in right:
+            push_pair(m, k, above)
+
     if not s.collapsed:
-        n0 = len(s.rules)
-        for i in range(n0):
-            for j in range(n0):
-                push_pair(i, j, lo)
+        for m in range(len(s.rules)):
+            enter(m, lo)
 
     while heap:
         h = s.normal_form(heapq.heappop(heap)[-1])
@@ -298,11 +341,7 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
             s.collapsed = True
             break
         s.add_rule(orient(h))
-        m = len(s.rules) - 1
-        for k in range(m + 1):
-            push_pair(k, m, -1)
-            if k != m:
-                push_pair(m, k, -1)
+        enter(len(s.rules) - 1, -1)
     s.completed_bound = max(bound, lo)
     return s
 

@@ -19,7 +19,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import symbols as sy
@@ -133,7 +132,7 @@ def _ladder(bound: int) -> list[int]:
 def _sample(field: Field, rng: random.Random):
     if isinstance(field, PrimeField):
         return rng.randrange(field.q)
-    return Fraction(rng.randint(-9, 9))
+    return rng.randint(-9, 9)
 
 
 def _certified_point(pres: AlgebraPresentation, witness, seed: str, module_chart=None):

@@ -74,6 +74,19 @@ def test_fields():
         _ = p + q
 
 
+def test_rationals_keep_integral_coefficients_as_ints():
+    assert type(QQ.coerce(3)) is int
+    assert type(QQ.coerce(Fraction(4, 2))) is int and QQ.coerce(Fraction(4, 2)) == 2
+    assert type(QQ.coerce("-6/3")) is int and QQ.coerce("-6/3") == -2
+    assert QQ.coerce("1/2") == Fraction(1, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert type(QQ.mul(QQ.inv(-1), 5)) is int
+    a13 = NcPoly.gen(QQ, sy.entry((1, 2), 1, 3))
+    assert all(type(c) is int for c in (a13 * a13 - a13.scale(3)).terms.values())
+
+
 def _chart_gens(field=QQ):
     return [NcPoly.gen(field, sy.entry((1, 2), i, j)) for i in (1, 2) for j in (3, 4)]
 
@@ -101,6 +114,18 @@ def test_poly_str_goldens():
     # re-parses under a grammar without unary minus
     assert poly_str(a14 * a23 - a13 * a24) == (
         "-1*a(1,2;1,3)*a(1,2;2,4) + a(1,2;1,4)*a(1,2;2,3)"
+    )
+
+
+def test_poly_str_signs_follow_the_field():
+    a13, a14, a23, a24 = _chart_gens()
+    assert poly_str(a13 * a24 - a14.scale(2)) == "a(1,2;1,3)*a(1,2;2,4) - 2*a(1,2;1,4)"
+    assert poly_str(a13 - NcPoly.scalar(QQ, Fraction(-6, 3))) == "a(1,2;1,3) + 2"
+    # F_5 coefficients are residues in [0, 5): never printed as negative
+    b13, b14, b23, b24 = _chart_gens(GF(5))
+    assert poly_str(b13 * b24 - b14.scale(2)) == "a(1,2;1,3)*a(1,2;2,4) + 3*a(1,2;1,4)"
+    assert poly_str(b13 * b24 - b14 * b23) == (
+        "a(1,2;1,3)*a(1,2;2,4) + 4*a(1,2;1,4)*a(1,2;2,3)"
     )
 
 

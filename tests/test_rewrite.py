@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ncgrass import atlas
+from ncgrass import atlas, rewrite
 from ncgrass import symbols as sy
 from ncgrass.fields import QQ
 from ncgrass.poly import NcPoly, abelianize, commutator, word_str
@@ -18,6 +20,7 @@ from ncgrass.rewrite import (
     count_irreducible_words,
     orient,
     orient_module,
+    overlap_ambiguities,
     truncated_dimension,
     words_of_weight,
 )
@@ -181,9 +184,16 @@ def _rule_list_digest(system):
 CHAIN_B8_DIGEST = "47fb0eee23ee711c16e9bbb5a35883e925d1ad52e90cde1fc9150cdc324d0d18"
 
 
+# O(1,2|3,4) completed at bound 8 by the engine that tried every rule pair:
+# 1,098 rules
+DISJOINT_B8_DIGEST = "72040e7ef11e567dae3cb0d32a3d09ef1a5441b4e2d5292bb8b558c075cfa9eb"
+
+
+_CHAIN = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
+
+
 def _chain_base():
-    pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
-    return RewriteSystem(QQ, pres.rewrite_rules())
+    return RewriteSystem(QQ, _CHAIN.rewrite_rules())
 
 
 def test_find_redex_tie_break():
@@ -262,3 +272,96 @@ def test_a_collapsed_system_stays_collapsed_when_resumed():
     resumed = complete(low, 6)
     assert resumed.collapsed and resumed.completed_bound == 6
     assert _rule_list_digest(resumed) == _rule_list_digest(complete(base, 6))
+
+
+def test_disjoint_pair_rules_at_bound_8():
+    pres = atlas.pair_overlap((1, 2), (3, 4)).presentation
+    system = complete(RewriteSystem(QQ, pres.rewrite_rules()), 8)
+    assert len(system.rules) == 1098
+    assert _rule_list_digest(system) == DISJOINT_B8_DIGEST
+
+
+def _queried_pairs(system, bound):
+    """complete(system, bound) and the (i, j) rule index pairs it passed to
+    overlap_ambiguities, in call order."""
+    calls = []
+    real = rewrite.overlap_ambiguities
+
+    def spy(r1, r2, field, lo, hi):
+        calls.append((r1, r2))
+        return real(r1, r2, field, lo, hi)
+
+    # patched by hand: hypothesis tests may not take the monkeypatch fixture
+    rewrite.overlap_ambiguities = spy
+    try:
+        got = complete(system, bound)
+    finally:
+        rewrite.overlap_ambiguities = real
+    index = {id(r): i for i, r in enumerate(got.rules)}
+    return got, [(index[id(r1)], index[id(r2)]) for r1, r2 in calls]
+
+
+def _superposing_pairs(rules):
+    """Every ordered pair with an overlap or inclusion, by an all-pairs scan."""
+    return {
+        (i, j)
+        for i, r1 in enumerate(rules)
+        for j, r2 in enumerate(rules)
+        if overlap_ambiguities(r1, r2, QQ, -1, 10**9)
+    }
+
+
+def test_completion_queries_exactly_the_superposing_pairs():
+    got, pairs = _queried_pairs(_chain_base(), 8)
+    assert _rule_list_digest(got) == CHAIN_B8_DIGEST
+    assert len(pairs) == len(set(pairs))  # each pair once, so heap keys are unique
+    assert set(pairs) == _superposing_pairs(got.rules)
+
+
+_LETTERS = [sy.entry((1, 2), i, j) for i in (1, 2) for j in (3, 4)][:3]
+_lhs_words = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(_lhs_words, max_size=7), st.integers(0, 2))
+@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 1)
+def test_pair_index_is_exact_on_random_lhs_sets(words, modules):
+    # zero right-hand sides resolve every ambiguity, so the rules stay the
+    # base rules and every queried pair is a pair of them
+    zero = NcPoly.zero(QQ)
+    rules = [RewriteRule(w, zero) for w in words]
+    for k in range(modules):
+        rules.insert(k * 2, RewriteRule((sy.module_var(3 + k),), zero, is_module=True))
+    got, pairs = _queried_pairs(RewriteSystem(QQ, rules), 100)
+    assert got.rules == rules
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == _superposing_pairs(rules)
+
+
+# words made of subwords of the base rules' lhs words meet at superpositions,
+# where a system completed short of its bound first reduces two ways
+_LHS_PIECES = sorted(
+    {
+        r.lhs[a:b]
+        for r in _CHAIN.rewrite_rules()
+        for a in range(len(r.lhs))
+        for b in range(a + 1, len(r.lhs) + 1)
+    }
+)
+_coeffs = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+# every generator of the chain has weight 1, so a product of two of these
+# polynomials has weight at most 8, the completed bound
+_chain_polys = st.lists(
+    st.tuples(_coeffs, st.tuples(st.sampled_from(_LHS_PIECES), st.sampled_from(_LHS_PIECES))),
+    max_size=4,
+).map(lambda terms: NcPoly.from_pairs(QQ, ((c, (u + v)[:4]) for c, (u, v) in terms)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_chain_polys, _chain_polys, _coeffs)
+def test_normal_forms_below_the_bound_are_a_ring_projection(p, q, c):
+    system = _CHAIN.completed(8)
+    nf = system.normal_form
+    assert nf(nf(p)) == nf(p)
+    assert nf(p + q.scale(c)) == nf(p) + nf(q).scale(c)
+    assert nf(p * q) == nf(nf(p) * nf(q))
