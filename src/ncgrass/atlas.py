@@ -211,8 +211,8 @@ def new_cache() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo made by new_cache: completed systems and point
-    transition data."""
+    """Empty every memo made by new_cache: completed systems, point
+    transition data and point transport tables."""
     for cache in _caches:
         cache.clear()
 

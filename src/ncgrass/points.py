@@ -5,7 +5,10 @@ Evaluation is commutative, so transport between charts evaluates the
 transition formulas directly. Each point spans a 2-dimensional subspace of
 F_q^4 (the chart matrix: identity in the chart columns, entries elsewhere),
 and the canonical representative of a glued point is the reduced row-echelon
-form of that matrix. An independent oracle enumerates the echelon matrices
+form of that matrix. Every chart point is transported to every other chart
+once per q: `transport_table` keeps where each one lands as a position in the
+other chart's point list, and the gluing and round-trip checks both read
+those tables. An independent oracle enumerates the echelon matrices
 directly, without any chart or transition machinery, so the glued count has
 ground truth to match.
 """
@@ -134,6 +137,33 @@ def transport(p: ChartPoint, lam2) -> ChartPoint | None:
     return ChartPoint(lam2, p.q, tuple((e, img.evaluate(values)) for e, img in images))
 
 
+def _position(p: ChartPoint) -> int:
+    """The index of p in chart_points(p.chart, p.q): its values in assignment
+    order read as a base-q number, as `product` enumerates them."""
+    pos = 0
+    for _, v in p.assignment:
+        pos = pos * p.q + v
+    return pos
+
+
+_table_cache = new_cache()
+
+
+def transport_table(lam, lam2, q: int) -> tuple:
+    """For each point of chart_points(lam, q), in order, the position in
+    chart_points(lam2, q) of its transport to lam2, or None off the overlap.
+    Memoized, so each point is transported to each chart once per q."""
+    key = (lam, lam2, q)
+    got = _table_cache.get(key)
+    if got is None:
+        got = tuple(
+            None if moved is None else _position(moved)
+            for moved in (transport(p, lam2) for p in chart_points(lam, q))
+        )
+        _table_cache[key] = got
+    return got
+
+
 # ---------------------------------------------------------------------------
 # gluing
 
@@ -141,24 +171,30 @@ def transport(p: ChartPoint, lam2) -> ChartPoint | None:
 def glued_points(q: int) -> set:
     """The canonical representatives of all chart points, with the pointwise
     consistency check: wherever a point lies in an overlap, its transported
-    coordinates must span the same subspace."""
+    coordinates must span the same subspace. Each chart point's row-echelon
+    form is computed once, and its transport is read from transport_table."""
     if q > QMAX:
         raise ValueError(f"q={q} exceeds the enumeration cap {QMAX}")
     charts = all_charts()
-    reps = set()
+    distinct: dict = {}  # each representative kept once, however many charts hold it
+    reps: dict = {lam: [] for lam in charts}
     for lam in charts:
         for p in chart_points(lam, q):
             rep = rref(point_matrix(p), q)
-            reps.add(rep)
-            for lam2 in charts:
-                if lam2 == lam:
-                    continue
-                moved = transport(p, lam2)
-                if moved is not None and rref(point_matrix(moved), q) != rep:
+            reps[lam].append(distinct.setdefault(rep, rep))
+    for lam in charts:
+        others = [
+            (lam2, transport_table(lam, lam2, q), reps[lam2]) for lam2 in charts if lam2 != lam
+        ]
+        for i, rep in enumerate(reps[lam]):
+            for lam2, table, reps2 in others:
+                j = table[i]
+                if j is not None and reps2[j] != rep:
                     raise PointGluingError(
-                        f"{p} transported to chart {lam2} spans a different subspace"
+                        f"{chart_points(lam, q)[i]} transported to chart {lam2} "
+                        "spans a different subspace"
                     )
-    return reps
+    return set(distinct)
 
 
 def glue_count(q: int) -> int:
@@ -168,24 +204,27 @@ def glue_count(q: int) -> int:
 
 def roundtrip_failures(q: int) -> list:
     """Points whose forward-and-back transport does not return the original
-    assignment, over every ordered chart pair."""
+    assignment, over every ordered chart pair. Both directions are read from
+    transport_table, which glued_points fills with the same transports."""
     if q > QMAX:
         raise ValueError(f"q={q} exceeds the enumeration cap {QMAX}")
     charts = all_charts()
     bad = []
     for lam in charts:
+        pts = chart_points(lam, q)
         for lam2 in charts:
             if lam2 == lam:
                 continue
-            for p in chart_points(lam, q):
-                p2 = transport(p, lam2)
-                if p2 is None:
+            forth, back = transport_table(lam, lam2, q), transport_table(lam2, lam, q)
+            for i, p in enumerate(pts):
+                j = forth[i]
+                if j is None:
                     continue
-                back = transport(p2, lam)
-                if back is None:
+                k = back[j]
+                if k is None:
                     bad.append(f"{p} left the reverse overlap with {lam}")
-                elif back != p:
-                    bad.append(f"{p} came back as {back}")
+                elif k != i:
+                    bad.append(f"{p} came back as {pts[k]}")
     return bad
 
 

@@ -101,11 +101,14 @@ def overlap_ambiguities(
     out = []
     k = -1
     nu, nv = len(u), len(v)
+    weight = sy.WEIGHT
+    pw = 0  # weight of v[:o], so the superposition u + v[o:] weighs r1 + r2 - pw
     for o in range(1, min(nu, nv)):
+        pw += weight[v[o - 1]]
         if u[nu - o] == first and u[nu - o :] == v[:o]:
             k += 1
             tail = v[o:]
-            wt = r1.weight + word_weight(tail)
+            wt = r1.weight + r2.weight - pw
             if not lo < wt <= hi:
                 continue
             head = u[: nu - o]

@@ -22,6 +22,7 @@ from ncgrass.points import (
     subspace_oracle,
     subspace_pattern_counts,
     transport,
+    transport_table,
 )
 
 EXPECTED = {2: 35, 3: 130, 5: 806}
@@ -165,6 +166,59 @@ def test_chart_point_str():
 
 def test_clear_caches_empties_the_transition_cache():
     transport(chart_points((1, 2), 2)[0], (1, 3))
+    transport_table((1, 2), (1, 3), 2)
     assert points._transition_cache
+    assert points._table_cache
     atlas.clear_caches()
     assert not points._transition_cache
+    assert not points._table_cache
+
+
+def test_transport_table_agrees_with_transport():
+    for q in (2, 3):
+        for lam, lam2 in permutations(atlas.all_charts(), 2):
+            table = transport_table(lam, lam2, q)
+            targets = chart_points(lam2, q)
+            pts = chart_points(lam, q)
+            assert len(table) == len(pts)
+            for p, entry in zip(pts, table):
+                moved = transport(p, lam2)
+                assert (entry is None) == (moved is None), (p, lam2)
+                if moved is not None:
+                    assert targets[entry] == moved, (p, lam2)
+
+
+def test_a_broken_transition_fails_both_point_checks(monkeypatch):
+    # swapping two of lam2's images moves every overlap point to another
+    # subspace, which the gluing check and the round trip must both see
+    atlas.clear_caches()
+    lam, lam2, q = (1, 2), (1, 3), 3
+    inverted, definitions, images = points._transition_data(lam, lam2, q)
+    (e0, img0), (e1, img1) = images[:2]
+    swapped = ((e0, img1), (e1, img0)) + tuple(images[2:])
+    monkeypatch.setitem(points._transition_cache, (lam, lam2, q), (inverted, definitions, swapped))
+    try:
+        with pytest.raises(PointGluingError):
+            glued_points(q)
+        assert roundtrip_failures(q)
+    finally:
+        atlas.clear_caches()
+
+
+def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
+    from ncgrass.verify import verify_points
+
+    calls = []
+
+    def counted(p, lam2):
+        calls.append(None)
+        return transport(p, lam2)
+
+    atlas.clear_caches()
+    monkeypatch.setattr(points, "transport", counted)
+    try:
+        results = verify_points()
+    finally:
+        atlas.clear_caches()
+    assert all(r.outcome == "Verified" for r in results)
+    assert len(calls) == 30 * (2**4 + 3**4 + 5**4) == 21660

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ncgrass import atlas, rewrite
 from ncgrass import symbols as sy
 from ncgrass.fields import QQ
-from ncgrass.poly import NcPoly, abelianize, commutator, word_str
+from ncgrass.poly import NcPoly, abelianize, commutator, word_str, word_weight
 from ncgrass.rewrite import (
     RewriteRule,
     RewriteSystem,
@@ -336,6 +336,26 @@ def test_pair_index_is_exact_on_random_lhs_sets(words, modules):
     assert got.rules == rules
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == _superposing_pairs(rules)
+
+
+# a quasi-determinant weighs 2, so a superposition's weight depends on which
+# letters the overlap shares
+_MIXED = [sy.entry((1, 2), 1, 3), sy.entry((1, 2), 1, 4), sy.quasi_det((1, 2), (3, 4))]
+_mixed_words = st.lists(st.sampled_from(_MIXED), min_size=1, max_size=5).map(tuple)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_mixed_words, _mixed_words, st.integers(0, 10), st.integers(0, 10))
+@example((_MIXED[0], _MIXED[2]), (_MIXED[2], _MIXED[0]), 0, 10)
+def test_superposition_weights_are_the_weights_of_the_superposed_words(u, v, lo, hi):
+    nu, nv = len(u), len(v)
+    words = [u + v[o:] for o in range(1, min(nu, nv)) if u[nu - o :] == v[:o]]
+    words += [u for pos in range(nu - nv + 1) if u[pos : pos + nv] == v]
+    expected = [(word_weight(w), k) for k, w in enumerate(words)]
+    zero = NcPoly.zero(QQ)
+    r1, r2 = RewriteRule(u, zero), RewriteRule(v, zero)
+    got = [(wt, k) for wt, k, _ in overlap_ambiguities(r1, r2, QQ, lo, hi)]
+    assert got == [(wt, k) for wt, k in expected if lo < wt <= hi]
 
 
 # words made of subwords of the base rules' lhs words meet at superpositions,
