@@ -170,6 +170,7 @@ class AlgebraPresentation:
     module_relations: tuple = ()
     definitions: tuple = ()  # (sid, NcPoly expr, bool as_inverse)
     inverted: tuple = ()  # NcPoly elements
+    _key: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def relations(self) -> tuple:
@@ -180,12 +181,17 @@ class AlgebraPresentation:
         return rules + module_rules(self.base_chart, self.module_relations)
 
     def key(self) -> tuple:
-        return (
-            self.field.key,
-            self.generators,
-            tuple(poly_str(r) for r in self.relations),
-            tuple(poly_str(r) for r in self.module_relations),
-        )
+        """The completion cache key: equal for presentations with the same
+        field, generators and relations. Computed on the first call, since a
+        presentation is not changed once built."""
+        if self._key is None:
+            self._key = (
+                self.field.key,
+                self.generators,
+                tuple(poly_str(r) for r in self.relations),
+                tuple(poly_str(r) for r in self.module_relations),
+            )
+        return self._key
 
     def completed(self, bound: int) -> RewriteSystem:
         return _completed_system(self, bound)

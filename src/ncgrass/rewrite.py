@@ -2,9 +2,9 @@
 normal forms, and an independent linear-algebra dimension oracle.
 
 Reduction is deterministic: at each step the leftmost redex is taken, ties
-broken by lowest rule index. Redexes are found through an index from each lhs
-word to its lowest rule index, probed at each position with the lhs lengths
-that start with the letter there. Completion resolves every overlap and
+broken by lowest rule index. Redexes are found by walking one trie of the lhs
+words from each position in turn; a node where an lhs ends holds the lowest
+index of a rule with that lhs. Completion resolves every overlap and
 inclusion ambiguity whose superposition word has weight at most the bound; by
 the diamond lemma this makes normal forms unique below that weight. It finds
 the rule pairs that superpose through a second index, from the proper
@@ -18,7 +18,6 @@ in complete).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from itertools import combinations_with_replacement
 
@@ -48,10 +47,14 @@ class RewriteRule:
             if len(self.lhs) != 1 or not sy.is_module_var(self.lhs[0]):
                 raise ValueError("module rule lhs must be a single module variable")
             return
+        # an ordinary rule holds no module variable, so a rewrite with it
+        # keeps a word normalized (see RewriteSystem._expand)
         if any(sy.is_module_var(s) for s in self.lhs):
             raise ValueError("ordinary rule lhs may not contain module variables")
         lk = order_key(self.lhs)
         for w in rhs.terms:
+            if any(sy.is_module_var(s) for s in w):
+                raise ValueError("ordinary rule rhs may not contain module variables")
             if not order_key(w) < lk:
                 raise ValueError(f"rule lhs does not dominate rhs word {w}")
 
@@ -130,6 +133,10 @@ def overlap_ambiguities(
     return out
 
 
+# the trie key of a rule index: symbol ids are >= 0
+_END = -1
+
+
 class RewriteSystem:
     """An ordered list of rules over one coefficient field, with memoized
     word normal forms. Rule order matters: it is the reduction tie-break."""
@@ -140,10 +147,9 @@ class RewriteSystem:
         self.completed_bound: int | None = None
         # set when completion derives a unit: the quotient is the zero ring
         self.collapsed = False
-        # lhs word -> lowest index of a rule with that lhs, and for each first
-        # symbol the ascending distinct lengths of the lhs words it starts
-        self._lhs_index: dict[Word, int] = {}
-        self._lhs_lengths: dict[int, list[int]] = {}
+        # the trie of lhs words: each node maps a symbol id to its child, and
+        # _END to the lowest index of a rule whose lhs ends there
+        self._trie: dict = {}
         self._nf_cache: dict[Word, dict] = {}
         for r in rules or []:
             self.add_rule(r)
@@ -151,11 +157,11 @@ class RewriteSystem:
     def add_rule(self, rule: RewriteRule) -> None:
         """Append a rule. The system is no longer known to be complete, so it
         is never resumed from (see complete)."""
-        self._lhs_index.setdefault(rule.lhs, len(self.rules))
+        node = self._trie
+        for s in rule.lhs:
+            node = node.setdefault(s, {})
+        node.setdefault(_END, len(self.rules))
         self.rules.append(rule)
-        lengths = self._lhs_lengths.setdefault(rule.lhs[0], [])
-        if len(rule.lhs) not in lengths:
-            bisect.insort(lengths, len(rule.lhs))
         self.completed_bound = None
         self._nf_cache.clear()
 
@@ -170,22 +176,22 @@ class RewriteSystem:
 
     def find_redex(self, w: Word):
         """(position, rule index) of the leftmost, lowest-index match; None if irreducible."""
-        index = self._lhs_index
-        n = len(w)
-        best = None
-        for pos in range(n):
-            lengths = self._lhs_lengths.get(w[pos])
-            if lengths is None:
+        root = self._trie
+        for pos, first in enumerate(w):
+            node = root.get(first)
+            if node is None:
                 continue
-            for length in lengths:
-                if pos + length > n:
+            best = node.get(_END)
+            for s in w[pos + 1 :]:
+                node = node.get(s)
+                if node is None:
                     break
-                idx = index.get(w[pos : pos + length])
-                if idx is not None and (best is None or idx < best[1]):
-                    best = (pos, idx)
+                idx = node.get(_END)
+                if idx is not None and (best is None or idx < best):
+                    best = idx
             if best is not None:
-                break
-        return best
+                return pos, best
+        return None
 
     def is_irreducible(self, w: Word) -> bool:
         return self.find_redex(w) is None
@@ -194,6 +200,11 @@ class RewriteSystem:
         rule = self.rules[idx]
         prefix = w[:pos]
         suffix = w[pos + len(rule.lhs) :]
+        if not rule.is_module:
+            # no module variable in the rule, so each word is already
+            # normalized, distinct rhs words stay distinct and no coefficient
+            # cancels
+            return {prefix + rw + suffix: rc for rw, rc in rule.rhs.terms.items()}
         f = self.field
         out: dict = {}
         for rw, rc in rule.rhs.terms.items():

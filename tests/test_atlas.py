@@ -204,3 +204,21 @@ def test_presentations_over_finite_fields():
     system = pres.completed(4)
     for rel in pres.relations:
         assert system.normal_form(rel).is_zero()
+
+
+def test_equal_presentations_share_one_key_and_one_completion():
+    atlas.clear_caches()
+    first = atlas.chart_presentation((1, 2), with_module=True)
+    second = atlas.chart_presentation((1, 2), with_module=True)
+    key = first.key()
+    assert key == (
+        QQ.key,
+        first.generators,
+        tuple(poly_str(r) for r in first.relations),
+        tuple(poly_str(r) for r in first.module_relations),
+    )
+    assert first.key() is key  # computed once
+    assert second.key() == key and second.key() is not key
+    assert first == second
+    assert second.completed(4) is first.completed(4)
+    assert atlas.chart_presentation((1, 2)).key() != key

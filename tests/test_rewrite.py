@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from ncgrass import atlas, rewrite
 from ncgrass import symbols as sy
 from ncgrass.fields import QQ
-from ncgrass.poly import NcPoly, abelianize, commutator, word_str, word_weight
+from ncgrass.poly import (
+    NcPoly,
+    abelianize,
+    commutator,
+    mul_words,
+    normalize_word,
+    word_str,
+    word_weight,
+)
 from ncgrass.rewrite import (
     RewriteRule,
     RewriteSystem,
@@ -189,11 +197,27 @@ CHAIN_B8_DIGEST = "47fb0eee23ee711c16e9bbb5a35883e925d1ad52e90cde1fc9150cdc324d0
 DISJOINT_B8_DIGEST = "72040e7ef11e567dae3cb0d32a3d09ef1a5441b4e2d5292bb8b558c075cfa9eb"
 
 
+# O(1,2|2,3|3,4) completed at bound 12 by the engine that probed a hash
+# index of lhs words for redexes: 369 rules
+CHAIN_B12_DIGEST = "a516757b28d4b4bb65e4d21c06ff2c13f58d15b49b49bfbc4f68a6599f365121"
+
+
 _CHAIN = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
 
 
 def _chain_base():
     return RewriteSystem(QQ, _CHAIN.rewrite_rules())
+
+
+def _linear_scan_redex(rules, w):
+    """The leftmost, lowest-index match of a rule's lhs in w, rule by rule."""
+    matches = [
+        (pos, idx)
+        for pos in range(len(w))
+        for idx, r in enumerate(rules)
+        if w[pos : pos + len(r.lhs)] == r.lhs
+    ]
+    return min(matches) if matches else None
 
 
 def test_find_redex_tie_break():
@@ -223,13 +247,71 @@ def test_find_redex_agrees_with_a_linear_scan():
     rng = random.Random(7)
     for _ in range(400):
         w = tuple(rng.choice(gens) for _ in range(rng.randint(1, 9)))
-        matches = [
-            (pos, idx)
-            for pos in range(len(w))
-            for idx, r in enumerate(system.rules)
-            if w[pos : pos + len(r.lhs)] == r.lhs
-        ]
-        assert system.find_redex(w) == (min(matches) if matches else None)
+        assert system.find_redex(w) == _linear_scan_redex(system.rules, w)
+
+
+def _generic_expand(system, w, pos, idx):
+    """One rewrite of w at pos with rule idx: the normalized products, with
+    equal words summed and zero coefficients dropped."""
+    rule = system.rules[idx]
+    prefix, suffix = w[:pos], w[pos + len(rule.lhs) :]
+    out = {}
+    for rw, rc in rule.rhs.terms.items():
+        nw = mul_words(mul_words(prefix, rw), suffix)
+        out[nw] = QQ.add(out[nw], rc) if nw in out else rc
+    return {nw: c for nw, c in out.items() if not QQ.is_zero(c)}
+
+
+_CHAIN_LETTERS = sorted(_CHAIN.generators)
+_MODULE_VARS = [sy.module_var(k) for k in (1, 2, 3)]
+_context_word = st.lists(st.sampled_from(_CHAIN_LETTERS), max_size=3).map(tuple)
+
+
+_F12 = atlas.chart_presentation((1, 2), with_module=True)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_context_word, _context_word, st.lists(st.sampled_from(_MODULE_VARS), max_size=2))
+@example((), (), [_MODULE_VARS[0]])
+def test_one_step_expansion_equals_the_generic_one(prefix, suffix, tail):
+    # term for term and in the same order, for every rule of the chain, whose
+    # ordinary rules take the path without renormalizing, and of F(1,2),
+    # whose module rules meet the rest of a module tail
+    tail = normalize_word(tail)
+    for system in (_CHAIN.completed(8), _F12.completed(4)):
+        for idx, rule in enumerate(system.rules):
+            w = normalize_word(prefix + rule.lhs + suffix + tail)
+            pos = w.index(rule.lhs[0]) if rule.is_module else len(prefix)
+            got = system._expand(w, pos, idx)
+            assert list(got.items()) == list(_generic_expand(system, w, pos, idx).items())
+
+
+def test_ordinary_rules_hold_no_module_variable():
+    a, x = sy.entry((1, 2), 1, 3), sy.module_var(1)
+    with pytest.raises(ValueError):
+        RewriteRule((a, a), NcPoly.from_word(QQ, (a, x)))
+    with pytest.raises(ValueError):
+        RewriteRule((a, x), NcPoly.zero(QQ))
+
+
+def test_a_copy_has_its_own_lhs_trie():
+    original = _CHAIN.completed(8)
+    before = len(original.rules)
+    # an irreducible word that runs along the trie path of a proper prefix of
+    # an lhs and leaves it with one more letter
+    word = next(
+        r.lhs[:-1] + (g,)
+        for r in original.rules
+        if len(r.lhs) > 1
+        for g in _CHAIN_LETTERS
+        if original.is_irreducible(r.lhs[:-1] + (g,))
+    )
+    copy = original.copy()
+    copy.add_rule(RewriteRule(word, NcPoly.zero(QQ)))
+    assert copy.find_redex(word) == (0, before)
+    assert original.find_redex(word) is None
+    assert len(original.rules) == before
+    assert original.completed_bound == 8 and copy.completed_bound is None
 
 
 def test_completion_rules_from_scratch_and_resumed():
@@ -246,6 +328,12 @@ def test_completion_rules_from_scratch_and_resumed():
     pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
     assert [len(pres.completed(b).rules) for b in (4, 6, 8)] == [15, 28, 102]
     assert _rule_list_digest(pres.completed(8)) == CHAIN_B8_DIGEST
+
+
+def test_chain_rules_at_bound_12():
+    system = complete(_chain_base(), 12)
+    assert len(system.rules) == 369
+    assert _rule_list_digest(system) == CHAIN_B12_DIGEST
 
 
 def test_a_system_given_a_rule_after_completion_is_not_resumed():
@@ -336,6 +424,36 @@ def test_pair_index_is_exact_on_random_lhs_sets(words, modules):
     assert got.rules == rules
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == _superposing_pairs(rules)
+
+
+_A, _B, _C = _LETTERS
+_redex_rule = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4).map(tuple) | (
+    st.sampled_from(_MODULE_VARS).map(lambda x: (x,))
+)
+# a core word followed by a module-variable tail, as words are kept
+_redex_word = st.tuples(
+    st.lists(st.sampled_from(_LETTERS), max_size=8),
+    st.lists(st.sampled_from(_MODULE_VARS), max_size=3),
+).map(lambda parts: normalize_word(parts[0] + parts[1]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(_redex_rule, min_size=1, max_size=8), st.lists(_redex_word, max_size=10))
+# a duplicate lhs, an lhs that is a prefix, a suffix and a subword of
+# another, a single letter, and a module rule on a module tail
+@example(
+    [(_A, _B, _C), (_A, _B), (_B, _C), (_B,), (_A, _B), (_MODULE_VARS[1],)],
+    [(_C, _A, _B, _C), (_A, _B), (_C, _B, _C, _MODULE_VARS[1]), (_C, _MODULE_VARS[1]), ()],
+)
+def test_find_redex_equals_a_linear_scan_on_random_rule_lists(lhs_words, words):
+    zero = NcPoly.zero(QQ)
+    rules = [
+        RewriteRule(lhs, zero, is_module=sy.is_module_var(lhs[0])) for lhs in lhs_words
+    ]
+    system = RewriteSystem(QQ, rules)
+    for w in words:
+        for pos in range(len(w) + 1):  # w and each of its suffixes
+            assert system.find_redex(w[pos:]) == _linear_scan_redex(rules, w[pos:])
 
 
 # a quasi-determinant weighs 2, so a superposition's weight depends on which
