@@ -6,19 +6,20 @@ broken by lowest rule index. Redexes are found by walking one trie of the lhs
 words from each position in turn; a node where an lhs ends holds the lowest
 index of a rule with that lhs. Completion resolves every overlap and
 inclusion ambiguity whose superposition word has weight at most the bound; by
-the diamond lemma this makes normal forms unique below that weight. It finds
-the rule pairs that superpose through a second index, from the proper
-prefixes, proper suffixes and subwords of the lhs words to their rules, so a
-pair with no ambiguity is never looked at. The weight of a superposition is
-read off the two lhs words, so no polynomial is built for an ambiguity above
-the bound. Completing a system already completed at a lower bound resumes it
-and gives exactly the rules of a run from the original rules (the argument is
-in complete).
+the diamond lemma this makes normal forms unique below that weight. It
+enumerates the superpositions themselves, not rule pairs, through a second
+index from the proper prefixes, proper suffixes and subwords of the lhs words
+to their rules. Each hit names the word two lhs words share, so the weight of
+its superposition follows from the two lhs weights without building anything;
+only the superpositions under the bound get a polynomial, made by
+concatenating words. Completing a system already completed at a lower bound
+resumes it and gives exactly the rules of a run from the original rules (the
+argument is in complete).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 
 from . import symbols as sy
@@ -66,10 +67,10 @@ def orient(relation: NcPoly) -> RewriteRule:
     """Monicize and split off the order-leading word as the rule's lhs."""
     if relation.is_zero():
         raise ValueError("cannot orient the zero relation")
-    m = relation.monic()
-    lw, _ = m.leading()
+    lw, lc = relation.leading()
     f = relation.field
-    rhs = NcPoly(f, {w: f.neg(c) for w, c in m.terms.items() if w != lw})
+    scale = f.neg(f.inv(lc))
+    rhs = NcPoly(f, {w: f.mul(scale, c) for w, c in relation.terms.items() if w != lw})
     return RewriteRule(lw, rhs)
 
 
@@ -85,52 +86,6 @@ def orient_module(relation: NcPoly, eliminated: int) -> RewriteRule:
         f, {w: f.neg(f.mul(inv, cc)) for w, cc in relation.terms.items() if w != lhs}
     )
     return RewriteRule(lhs, rhs, is_module=True)
-
-
-def overlap_ambiguities(
-    r1: RewriteRule, r2: RewriteRule, field: Field, lo: int, hi: int
-) -> list[tuple[int, int, NcPoly]]:
-    """All proper overlaps (suffix of r1.lhs = prefix of r2.lhs) and inclusions
-    of r2.lhs inside r1.lhs whose superposition weight lies in (lo, hi], each
-    as (weight, k, difference of its two one-step reductions). The weight
-    comes from the two lhs words, so no polynomial is built outside the
-    window; k counts every superposition in enumeration order, those outside
-    the window included, so it does not depend on the window. Module rules
-    never superpose with anything."""
-    if r1.is_module or r2.is_module:
-        return []
-    u, v = r1.lhs, r2.lhs
-    first = v[0]
-    out = []
-    k = -1
-    nu, nv = len(u), len(v)
-    weight = sy.WEIGHT
-    pw = 0  # weight of v[:o], so the superposition u + v[o:] weighs r1 + r2 - pw
-    for o in range(1, min(nu, nv)):
-        pw += weight[v[o - 1]]
-        if u[nu - o] == first and u[nu - o :] == v[:o]:
-            k += 1
-            tail = v[o:]
-            wt = r1.weight + r2.weight - pw
-            if not lo < wt <= hi:
-                continue
-            head = u[: nu - o]
-            left = r1.rhs * NcPoly.from_word(field, tail) if tail else r1.rhs
-            right = NcPoly.from_word(field, head) * r2.rhs if head else r2.rhs
-            out.append((wt, k, left - right))
-    # inclusions come last and all have the weight of u, so when they fall
-    # outside the window no later index needs counting
-    if nv <= nu and lo < r1.weight <= hi:
-        for pos in range(nu - nv + 1):
-            if u[pos] == first and u[pos : pos + nv] == v:
-                k += 1
-                mid = r2.rhs
-                if pos:
-                    mid = NcPoly.from_word(field, u[:pos]) * mid
-                if pos + nv < nu:
-                    mid = mid * NcPoly.from_word(field, u[pos + nv :])
-                out.append((r1.weight, k, r1.rhs - mid))
-    return out
 
 
 # the trie key of a rule index: symbol ids are >= 0
@@ -269,23 +224,62 @@ class RewriteSystem:
         return NcPoly(f, acc)
 
 
+def _superposition_difference(r1: RewriteRule, r2: RewriteRule, key: int, field: Field) -> NcPoly:
+    """The difference of the two one-step reductions of a superposition of
+    r1.lhs and r2.lhs, named by its key: for key < len(r1.lhs), the overlap
+    of the last key letters of r1.lhs with the first key letters of r2.lhs;
+    otherwise r2.lhs inside r1.lhs at position key - len(r1.lhs). Neither
+    rule holds a module variable, so each product is a concatenation of
+    words (as in RewriteSystem._expand)."""
+    u, n = r1.lhs, len(r1.lhs)
+    if key < n:
+        tail, head, rest = r2.lhs[key:], u[: n - key], ()
+    else:
+        pos = key - n
+        tail, head, rest = (), u[:pos], u[pos + len(r2.lhs) :]
+    acc = {w + tail: c for w, c in r1.rhs.terms.items()}
+    for w, c in r2.rhs.terms.items():
+        nw = head + w + rest
+        c0 = acc.get(nw)
+        if c0 is None:
+            acc[nw] = field.neg(c)
+        else:
+            c0 = field.sub(c0, c)
+            if field.is_zero(c0):
+                del acc[nw]
+            else:
+                acc[nw] = c0
+    return NcPoly(field, acc)
+
+
 def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     """Truncated completion: resolve all ambiguities with superposition weight
     at most `bound`, iterating to a fixpoint. Deterministic: tasks are handled
-    in order of (superposition weight, rule pair, enumeration index), and each
-    surviving difference is oriented and appended in that order. Each ordered
-    rule pair is enumerated once, so that key is unique.
+    in order of (superposition weight, rule pair, key), and each surviving
+    difference is oriented and appended in that order. Within an ordered rule
+    pair (i, j), the key of an overlap is its length, which is less than
+    len(lhs_i), and the key of an inclusion is len(lhs_i) plus its position.
+    So a pair's overlaps pop first, shortest first, then its inclusions from
+    left to right, the order in which a scan of the pair meets them; the key
+    depends neither on the window nor on which superpositions exist, so the
+    pop order, and with it the rule list, does not depend on how the entries
+    were found. Each superposition has one key, so the heap entries are
+    unique.
 
-    Only pairs that superpose are enumerated. An index over the lhs words of
-    the rules so far maps each proper prefix, each proper suffix and each
-    subword to the rules whose lhs has it, and each lhs to its rules. A rule m
-    is entered when it is added, and its partners k <= m are read off: (k, m)
-    when a proper prefix of m's lhs is a proper suffix of k's or k's lhs
-    contains m's, and (m, k) when a proper suffix of m's lhs is a proper
-    prefix of k's or m's lhs contains k's. Every other pair has no
-    ambiguity, so the heap receives the entries of an all-pairs scan, and the
-    heap order does not depend on the order of the pushes. The base rules
-    are entered one at a time in the same way.
+    Only superpositions are enumerated, never rule pairs. An index over the
+    lhs words of the rules so far maps each proper prefix, each proper
+    suffix, each subword and each lhs to the rules that have it. A rule m
+    with lhs u is entered when it is added, and each hit is a superposition
+    with a rule k <= m: (k, m) when u[:o] is a proper suffix of k's lhs, of
+    weight w_k + w_m - weight(u[:o]); (m, k) when u[o:] is a proper prefix
+    of k's lhs, of weight weight(u[:o]) + w_k; (m, k) when u contains k's
+    lhs, of weight w_m, once per position; and (k, m) when k's lhs contains
+    u, of weight w_k, whose positions are found in k's lhs once the weight
+    is in the window. A superposition outside the window is skipped before
+    any polynomial is made, and the difference of one inside it is built
+    when it is popped. The heap thus receives the in-window entries of a
+    scan of every rule pair, and its order does not depend on the order of
+    the pushes. The base rules are entered one at a time in the same way.
 
     A system returned by complete at a bound c < `bound` is resumed: only its
     ambiguities of weight in (c, bound] are seeded. This yields exactly the
@@ -301,8 +295,9 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     lo = system.completed_bound if system.completed_bound is not None else -1
     s = system.copy()
     f = s.field
-    # entries (weight, i, j, k, difference): the first four are unique, so
-    # the heap never compares two polynomials
+    rules = s.rules
+    weight = sy.WEIGHT
+    # entries (weight, i, j, key)
     heap: list = []
     # the pair index: word -> indices of the rules entered so far
     prefixes: dict[Word, list[int]] = {}
@@ -310,43 +305,53 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     containing: dict[Word, list[int]] = {}
     by_lhs: dict[Word, list[int]] = {}
 
-    def push_pair(i: int, j: int, above: int) -> None:
-        for wt, k, diff in overlap_ambiguities(s.rules[i], s.rules[j], f, above, bound):
-            heapq.heappush(heap, (wt, i, j, k, diff))
-
     def enter(m: int, above: int) -> None:
-        """Index rule m and push its ambiguities with every rule k <= m."""
-        if s.rules[m].is_module:  # module rules never superpose
+        """Index rule m and push its superpositions with every rule k <= m
+        whose weight lies in (above, bound]."""
+        r = rules[m]
+        if r.is_module:  # module rules never superpose
             return
-        u = s.rules[m].lhs
-        n = len(u)
-        subwords = {u[a:b] for a in range(n) for b in range(a + 1, n + 1)}
+        u, wm, n = r.lhs, r.weight, len(r.lhs)
+        pw = [0]  # pw[o] is the weight of u[:o]
+        for x in u:
+            pw.append(pw[-1] + weight[x])
         for o in range(1, n):
             prefixes.setdefault(u[:o], []).append(m)
             suffixes.setdefault(u[o:], []).append(m)
-        for w in subwords:
+        for w in {u[a:b] for a in range(n) for b in range(a + 1, n + 1)}:
             containing.setdefault(w, []).append(m)
         by_lhs.setdefault(u, []).append(m)
-        # the partners k of the pairs (k, m) and of the pairs (m, k)
-        left = set(containing[u])
-        right = set()
         for o in range(1, n):
-            left.update(suffixes.get(u[:o], ()))
-            right.update(prefixes.get(u[o:], ()))
-        for w in subwords:
-            right.update(by_lhs.get(w, ()))
-        right.discard(m)  # (m, m) is in left
-        for k in left:
-            push_pair(k, m, above)
-        for k in right:
-            push_pair(m, k, above)
+            for k in suffixes.get(u[:o], ()):
+                wt = rules[k].weight + wm - pw[o]
+                if above < wt <= bound:
+                    heappush(heap, (wt, k, m, o))
+            for k in prefixes.get(u[o:], ()):
+                if k != m:  # (m, m) is met through suffixes
+                    wt = pw[o] + rules[k].weight
+                    if above < wt <= bound:
+                        heappush(heap, (wt, m, k, n - o))
+        for k in containing[u]:  # (m, m) among them
+            wt = rules[k].weight
+            if above < wt <= bound:
+                v = rules[k].lhs
+                for a in range(len(v) - n + 1):
+                    if v[a : a + n] == u:
+                        heappush(heap, (wt, k, m, len(v) + a))
+        if above < wm <= bound:
+            for a in range(n):
+                for b in range(a + 1, n + 1):
+                    for k in by_lhs.get(u[a:b], ()):
+                        if k != m:
+                            heappush(heap, (wm, m, k, n + a))
 
     if not s.collapsed:
-        for m in range(len(s.rules)):
+        for m in range(len(rules)):
             enter(m, lo)
 
     while heap:
-        h = s.normal_form(heapq.heappop(heap)[-1])
+        _, i, j, key = heappop(heap)
+        h = s.normal_form(_superposition_difference(rules[i], rules[j], key, f))
         if h.is_zero():
             continue
         if h.leading()[0] == ():
@@ -355,7 +360,7 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
             s.collapsed = True
             break
         s.add_rule(orient(h))
-        enter(len(s.rules) - 1, -1)
+        enter(len(rules) - 1, -1)
     s.completed_bound = max(bound, lo)
     return s
 

@@ -28,7 +28,6 @@ from ncgrass.rewrite import (
     count_irreducible_words,
     orient,
     orient_module,
-    overlap_ambiguities,
     truncated_dimension,
     words_of_weight,
 )
@@ -48,6 +47,10 @@ def test_orient_picks_the_leading_word():
     rule = orient(commutator(a13, a14))
     assert rule.lhs == (sy.entry((1, 2), 1, 4), sy.entry((1, 2), 1, 3))
     assert rule.rhs == a13 * a14
+    # the other terms are divided by the leading coefficient and negated
+    rule = orient((a14 * a13).scale(2) - (a13 * a14).scale(3) + a13.scale(5))
+    assert rule.lhs == (sy.entry((1, 2), 1, 4), sy.entry((1, 2), 1, 3))
+    assert rule.rhs == (a13 * a14).scale(Fraction(3, 2)) - a13.scale(Fraction(5, 2))
     with pytest.raises(ValueError):
         orient(NcPoly.zero(QQ))
     with pytest.raises(ValueError):
@@ -202,6 +205,11 @@ DISJOINT_B8_DIGEST = "72040e7ef11e567dae3cb0d32a3d09ef1a5441b4e2d5292bb8b558c075
 CHAIN_B12_DIGEST = "a516757b28d4b4bb65e4d21c06ff2c13f58d15b49b49bfbc4f68a6599f365121"
 
 
+# O(1,2|2,3|3,4) completed at bound 14 by the engine that queried each
+# superposing rule pair for its ambiguities: 742 rules
+CHAIN_B14_DIGEST = "09969cc87146f01a03debbe36ccea0459a174addfe3a5f88438248463da9bff4"
+
+
 _CHAIN = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
 
 
@@ -334,6 +342,17 @@ def test_chain_rules_at_bound_12():
     system = complete(_chain_base(), 12)
     assert len(system.rules) == 369
     assert _rule_list_digest(system) == CHAIN_B12_DIGEST
+    # resuming enters the rules with the lower edge of each window
+    resumed = _chain_base()
+    for b in (8, 10, 12):
+        resumed = complete(resumed, b)
+    assert _rule_list_digest(resumed) == CHAIN_B12_DIGEST
+
+
+def test_chain_rules_at_bound_14():
+    system = complete(_chain_base(), 14)
+    assert len(system.rules) == 742
+    assert _rule_list_digest(system) == CHAIN_B14_DIGEST
 
 
 def test_a_system_given_a_rule_after_completion_is_not_resumed():
@@ -369,61 +388,128 @@ def test_disjoint_pair_rules_at_bound_8():
     assert _rule_list_digest(system) == DISJOINT_B8_DIGEST
 
 
-def _queried_pairs(system, bound):
-    """complete(system, bound) and the (i, j) rule index pairs it passed to
-    overlap_ambiguities, in call order."""
-    calls = []
-    real = rewrite.overlap_ambiguities
+def _reference_superpositions(r1, r2):
+    """Every superposition of r1.lhs and r2.lhs by a scan of the pair, as
+    (weight of the superposed word, difference of its two one-step
+    reductions) in scan order: the proper overlaps (a suffix of r1.lhs is a
+    prefix of r2.lhs) shortest first, then the inclusions of r2.lhs in r1.lhs
+    from left to right. The products are generic NcPoly ones. Module rules
+    never superpose."""
+    if r1.is_module or r2.is_module:
+        return []
+    f = r1.rhs.field
+    u, v = r1.lhs, r2.lhs
+    nu, nv = len(u), len(v)
+    out = []
+    for o in range(1, min(nu, nv)):
+        if u[nu - o :] == v[:o]:
+            left = r1.rhs * NcPoly.from_word(f, v[o:])
+            right = NcPoly.from_word(f, u[: nu - o]) * r2.rhs
+            out.append((word_weight(u + v[o:]), left - right))
+    for pos in range(nu - nv + 1):
+        if u[pos : pos + nv] == v:
+            mid = NcPoly.from_word(f, u[:pos]) * r2.rhs * NcPoly.from_word(f, u[pos + nv :])
+            out.append((word_weight(u), r1.rhs - mid))
+    return out
 
-    def spy(r1, r2, field, lo, hi):
-        calls.append((r1, r2))
-        return real(r1, r2, field, lo, hi)
+
+def _heap_traffic(system, bound):
+    """complete(system, bound), the heap entries it pushed and popped, and
+    the differences it passed to normal_form, each in call order."""
+    pushed, popped, reduced = [], [], []
+    real = rewrite.heappush, rewrite.heappop, RewriteSystem.normal_form
+
+    def push(heap, entry):
+        pushed.append(entry)
+        real[0](heap, entry)
+
+    def pop(heap):
+        popped.append(real[1](heap))
+        return popped[-1]
+
+    def nf(self, p):
+        reduced.append(p)
+        return real[2](self, p)
 
     # patched by hand: hypothesis tests may not take the monkeypatch fixture
-    rewrite.overlap_ambiguities = spy
+    rewrite.heappush, rewrite.heappop, RewriteSystem.normal_form = push, pop, nf
     try:
         got = complete(system, bound)
     finally:
-        rewrite.overlap_ambiguities = real
-    index = {id(r): i for i, r in enumerate(got.rules)}
-    return got, [(index[id(r1)], index[id(r2)]) for r1, r2 in calls]
+        rewrite.heappush, rewrite.heappop, RewriteSystem.normal_form = real
+    return got, pushed, popped, reduced
 
 
-def _superposing_pairs(rules):
-    """Every ordered pair with an overlap or inclusion, by an all-pairs scan."""
-    return {
-        (i, j)
-        for i, r1 in enumerate(rules)
-        for j, r2 in enumerate(rules)
-        if overlap_ambiguities(r1, r2, QQ, -1, 10**9)
-    }
+def _assert_pushes_are_a_pair_scan(system, bound):
+    """Complete system at bound and check that the entries pushed are the
+    superpositions a scan of every ordered pair of the resulting rules finds
+    in the weight window, each once, with its (weight, i, j), ordered within
+    a pair as the scan orders them, and that each popped entry is reduced
+    with the scan's difference, term for term. The window is (c, bound] for
+    a pair of rules of a system completed at c, and (-1, bound] otherwise."""
+    lo = system.completed_bound if system.completed_bound is not None else -1
+    base = len(system.rules)
+    got, pushed, popped, reduced = _heap_traffic(system, bound)
+    assert len(pushed) == len(set(pushed))
+    keys: dict = {}
+    for wt, i, j, key in pushed:
+        keys.setdefault((i, j), []).append((key, wt))
+    expected = {}
+    for i, r1 in enumerate(got.rules):
+        for j, r2 in enumerate(got.rules):
+            above = lo if max(i, j) < base else -1
+            window = [(wt, d) for wt, d in _reference_superpositions(r1, r2) if above < wt <= bound]
+            if window:
+                expected[(i, j)] = window
+    assert keys.keys() == expected.keys()
+    rank = {}
+    for pair, entries in keys.items():
+        entries.sort()
+        assert [wt for _, wt in entries] == [wt for wt, _ in expected[pair]]
+        rank.update({(pair, key): n for n, (key, _) in enumerate(entries)})
+    # every entry is popped once, unless a collapse stops the run
+    assert len(reduced) == len(popped) == len(set(popped))
+    assert set(popped) <= set(pushed)
+    assert len(popped) == len(pushed) or got.collapsed
+    for (_, i, j, key), diff in zip(popped, reduced):
+        want = expected[(i, j)][rank[((i, j), key)]][1]
+        assert list(diff.terms.items()) == list(want.terms.items())
+    return got
 
 
-def test_completion_queries_exactly_the_superposing_pairs():
-    got, pairs = _queried_pairs(_chain_base(), 8)
+def test_completion_pushes_exactly_the_superpositions_under_the_bound():
+    got = _assert_pushes_are_a_pair_scan(_chain_base(), 8)
     assert _rule_list_digest(got) == CHAIN_B8_DIGEST
-    assert len(pairs) == len(set(pairs))  # each pair once, so heap keys are unique
-    assert set(pairs) == _superposing_pairs(got.rules)
+    # resumed, the base rules are entered with the lower edge of the window
+    got = _assert_pushes_are_a_pair_scan(complete(_chain_base(), 6), 8)
+    assert _rule_list_digest(got) == CHAIN_B8_DIGEST
 
 
 _LETTERS = [sy.entry((1, 2), i, j) for i in (1, 2) for j in (3, 4)][:3]
 _lhs_words = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4).map(tuple)
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.lists(_lhs_words, max_size=7), st.integers(0, 2))
-@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 1)
-def test_pair_index_is_exact_on_random_lhs_sets(words, modules):
-    # zero right-hand sides resolve every ambiguity, so the rules stay the
-    # base rules and every queried pair is a pair of them
+def _zero_rhs_system(words, lo):
+    """Rules w -> 0, completed at lo when lo >= 0. Zero right-hand sides
+    resolve every ambiguity, so completion keeps exactly these rules."""
     zero = NcPoly.zero(QQ)
-    rules = [RewriteRule(w, zero) for w in words]
+    rules = [RewriteRule(w, zero, is_module=sy.is_module_var(w[0])) for w in words]
+    system = RewriteSystem(QQ, rules)
+    return complete(system, lo) if lo >= 0 else system
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(_lhs_words, max_size=7), st.integers(0, 2), st.integers(-1, 8), st.integers(0, 12))
+# self-overlaps, an inclusion and an equal lhs, from scratch and resumed
+@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 1, -1, 100)
+@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 1, 3, 5)
+def test_pair_index_is_exact_on_random_lhs_sets(words, modules, lo, bound):
+    words = list(words)
     for k in range(modules):
-        rules.insert(k * 2, RewriteRule((sy.module_var(3 + k),), zero, is_module=True))
-    got, pairs = _queried_pairs(RewriteSystem(QQ, rules), 100)
-    assert got.rules == rules
-    assert len(pairs) == len(set(pairs))
-    assert set(pairs) == _superposing_pairs(rules)
+        words.insert(k * 2, (sy.module_var(3 + k),))
+    system = _zero_rhs_system(words, lo)
+    got = _assert_pushes_are_a_pair_scan(system, bound)
+    assert got.rules == system.rules
 
 
 _A, _B, _C = _LETTERS
@@ -463,17 +549,12 @@ _mixed_words = st.lists(st.sampled_from(_MIXED), min_size=1, max_size=5).map(tup
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(_mixed_words, _mixed_words, st.integers(0, 10), st.integers(0, 10))
-@example((_MIXED[0], _MIXED[2]), (_MIXED[2], _MIXED[0]), 0, 10)
-def test_superposition_weights_are_the_weights_of_the_superposed_words(u, v, lo, hi):
-    nu, nv = len(u), len(v)
-    words = [u + v[o:] for o in range(1, min(nu, nv)) if u[nu - o :] == v[:o]]
-    words += [u for pos in range(nu - nv + 1) if u[pos : pos + nv] == v]
-    expected = [(word_weight(w), k) for k, w in enumerate(words)]
-    zero = NcPoly.zero(QQ)
-    r1, r2 = RewriteRule(u, zero), RewriteRule(v, zero)
-    got = [(wt, k) for wt, k, _ in overlap_ambiguities(r1, r2, QQ, lo, hi)]
-    assert got == [(wt, k) for wt, k in expected if lo < wt <= hi]
+@given(_mixed_words, _mixed_words, st.integers(-1, 10), st.integers(0, 10))
+@example((_MIXED[0], _MIXED[2]), (_MIXED[2], _MIXED[0]), -1, 10)
+@example((_MIXED[2], _MIXED[0], _MIXED[2]), (_MIXED[2],), 3, 8)
+def test_superposition_weights_are_the_weights_of_the_superposed_words(u, v, lo, bound):
+    # the scan weighs each superposed word letter by letter
+    _assert_pushes_are_a_pair_scan(_zero_rhs_system([u, v], lo), bound)
 
 
 # words made of subwords of the base rules' lhs words meet at superpositions,
