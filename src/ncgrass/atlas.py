@@ -675,20 +675,16 @@ def overlap_chain(
         # extensions added while processing this hop land in homs[prev], so
         # each stored hom also covers its chart's hop-adjoined inverse symbols
         phi_prev = homs[prev]
-        kind = overlap_type(prev, nxt)
         hop = pair_overlap(prev, nxt, field, formulas)
-        if kind == "adjacent":
+        if hop.kind == "adjacent":
             piv = pivot_entry(prev, nxt)
             u = phi_prev.apply(NcPoly.gen(field, piv))
             inv_expr = adjoin_inverse(u, sy.inverse_symbol(piv))
             phi_prev.mapping[sy.inverse_symbol(piv)] = inv_expr
         else:
-            det_elt = quasi_det_element(prev, nxt, field)
-            u = phi_prev.apply(det_elt)
+            u = phi_prev.apply(quasi_det_element(prev, nxt, field))
             dsym = sy.quasi_det(prev, nxt)
             dinv = sy.quasi_det_inverse(prev, nxt)
-            d2sym = sy.quasi_det(nxt, prev)
-            d2inv = sy.quasi_det_inverse(nxt, prev)
             if prev == base:
                 # adjoin the quasi-determinant symbol itself, like the pair case
                 gens.append(dsym)
@@ -706,13 +702,14 @@ def overlap_chain(
                 inv_expr = adjoin_inverse(u, dinv)
                 phi_prev.mapping[dsym] = u
                 phi_prev.mapping[dinv] = inv_expr
-            phi_next = Hom(
-                field, {s: phi_prev.apply(p) for s, p in hop.to_base.mapping.items()}
-            )
+        # composed after phi_prev holds this hop's adjoined inverse
+        phi_next = Hom(field, {s: phi_prev.apply(p) for s, p in hop.to_base.mapping.items()})
+        if hop.kind == "disjoint":
             # a disjoint hop imposes structure the base localization does not
             # imply: the far chart's commutation relations, the reverse
             # identification formulas, and a formal inverse for the far
             # quasi-determinant's image
+            d2inv = sy.quasi_det_inverse(nxt, prev)
             far_det_img = phi_next.apply(quasi_det_element(nxt, prev, field))
             gens.append(d2inv)
             wpoly = NcPoly.gen(field, d2inv)
@@ -720,7 +717,7 @@ def overlap_chain(
             definitions.append((d2inv, far_det_img, True))
             inverted.append(far_det_img)
             known.append((far_det_img, wpoly))
-            phi_next.mapping[d2sym] = far_det_img
+            phi_next.mapping[sy.quasi_det(nxt, prev)] = far_det_img
             phi_next.mapping[d2inv] = wpoly
             for rel in chart_relations(nxt, field):
                 comm.append(phi_next.apply(rel))
@@ -729,10 +726,6 @@ def overlap_chain(
                     def_rels.append(
                         phi_prev.apply(NcPoly.gen(field, s)) - phi_next.apply(img)
                     )
-            homs[nxt] = phi_next
-            prev = nxt
-            continue
-        phi_next = Hom(field, {s: phi_prev.apply(p) for s, p in hop.to_base.mapping.items()})
         homs[nxt] = phi_next
         prev = nxt
 
@@ -778,33 +771,6 @@ def triple_ordering(charts) -> tuple:
     return (a, middle, b)
 
 
-def direct_far_images(chain: ChainOverlap, formulas: FormulaSet = CANONICAL) -> dict:
-    """Images of the far chart's entries under the direct (single-hop) pair
-    formulas, expressed inside the chain presentation. Used by the cocycle
-    comparison against the composite images the chain stores."""
-    lam, nu = chain.charts[0], chain.charts[-1]
-    field = chain.field
-    pair = pair_overlap(lam, nu, field, formulas)
-    subst = {e: NcPoly.gen(field, e) for e in chain.presentation.generators}
-    if pair.kind == "adjacent":
-        piv = pivot_entry(lam, nu)
-        pinv = sy.inverse_symbol(piv)
-        if pinv not in chain.presentation.generators:
-            inv = chain.inverse_of(NcPoly.gen(field, piv))
-            if inv is None:
-                raise ValueError("direct pivot inverse not available in chain")
-            subst[pinv] = inv
-    else:
-        det_elt = quasi_det_element(lam, nu, field)
-        inv = chain.inverse_of(det_elt)
-        if inv is None:
-            raise ValueError("direct quasi-determinant inverse not available in chain")
-        subst[sy.quasi_det(lam, nu)] = det_elt
-        subst[sy.quasi_det_inverse(lam, nu)] = inv
-    h = Hom(field, subst)
-    return {e: h.apply(pair.to_base.mapping[e]) for e in chart_entries(nu)}
-
-
 # ---------------------------------------------------------------------------
 # the poset of chart intersections and the structure presheaf
 
@@ -820,13 +786,6 @@ class PosetIndex:
     @staticmethod
     def of(*charts) -> "PosetIndex":
         return PosetIndex(tuple(sorted(_chart(c) for c in charts)))
-
-    def leq(self, other: "PosetIndex") -> bool:
-        """self <= other in the poset (self is a deeper intersection)."""
-        return set(other.charts) <= set(self.charts)
-
-    def minimum(self, other: "PosetIndex") -> "PosetIndex":
-        return PosetIndex(tuple(sorted(set(self.charts) | set(other.charts))))
 
     @property
     def is_maximal(self) -> bool:
@@ -851,28 +810,21 @@ class Presheaf:
         return node if isinstance(node, AlgebraPresentation) else node.presentation
 
 
-def _pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
+def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     """Restriction from a pair overlap into a chain overlap containing both
-    charts. Chart entries go through the chain's own Homs; adjoined symbols
-    resolve through the pair's definitions and the chain's known invertibles."""
+    charts, the one map from a pair's symbols into a chain. Chart entries go
+    through the chain's own Homs, each of which maps only its own chart's
+    symbols; adjoined symbols resolve through the pair's definitions and the
+    chain's known invertibles."""
     field = chain.field
-    hom_a = chain.homs[pair.lam]
-    hom_b = chain.homs.get(pair.lam2)
-    mapping: dict = {}
-    for g in pair.presentation.generators:
-        if g in hom_a.mapping:
-            mapping[g] = hom_a.mapping[g]
-        elif hom_b is not None and g in hom_b.mapping:
-            mapping[g] = hom_b.mapping[g]
+    known = {**chain.homs[pair.lam].mapping, **chain.homs[pair.lam2].mapping}
+    mapping = {g: known[g] for g in pair.presentation.generators if g in known}
     work = Hom(field, mapping)
     for sid, expr, as_inv in pair.presentation.definitions:
         if sid in mapping:
             continue  # a chain hom already carries an image for this symbol
         img = work.apply(expr)
-        if not as_inv:
-            mapping[sid] = img
-            continue
-        inv = chain.inverse_of(img)
+        inv = chain.inverse_of(img) if as_inv else img
         if inv is None:
             raise ValueError(
                 f"cannot express inverse of {poly_str(img)} in {chain.presentation.name}"
@@ -912,6 +864,6 @@ def build_presheaf(field: Field = QQ, formulas: FormulaSet = CANONICAL) -> Presh
             restrictions[(PosetIndex.of(c), idx)] = chain.homs[c]
         for a, b in combinations(combo, 2):
             pidx = PosetIndex.of(a, b)
-            restrictions[(pidx, idx)] = _pair_to_chain_hom(pairs[pidx], chain)
+            restrictions[(pidx, idx)] = pair_to_chain_hom(pairs[pidx], chain)
 
     return Presheaf(field, nodes, restrictions)

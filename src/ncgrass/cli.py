@@ -33,7 +33,7 @@ SELECTORS = (
 )
 # selectors whose checks complete no rewriting system, so no bound applies
 UNBOUNDED_SELECTORS = ("abelianization", "points")
-EXPORT_TARGETS = ("charts", "overlaps", "transitions", "presheaf", "report")
+EXPORT_TARGETS = ("charts", "overlaps", "transitions", "presheaf")
 DEFAULT_BOUND = 10
 
 
@@ -239,7 +239,7 @@ def _presentation_doc(pres) -> dict:
     }
 
 
-def _export_doc(what: str, bound: int, field: Field):
+def _export_doc(what: str, field: Field):
     charts = atlas.all_charts()
     if what == "charts":
         return {"charts": [_presentation_doc(atlas.chart_presentation(c, field)) for c in charts]}
@@ -259,35 +259,32 @@ def _export_doc(what: str, bound: int, field: Field):
             }
             rows.append({"source": _chart_name(a), "target": _chart_name(b), "images": images})
         return {"transitions": rows}
-    if what == "presheaf":
-        ps = atlas.build_presheaf(field)
-        order = lambda ix: (len(ix.charts), ix.charts)
-        nodes = [
-            {
-                "name": ix.name,
-                "charts": [f"{c[0]},{c[1]}" for c in ix.charts],
-                "presentation": ps.presentation(ix).name,
-            }
-            for ix in sorted(ps.nodes, key=order)
-        ]
-        edges = [
-            {
-                "source": src.name,
-                "target": dst.name,
-                "images": {sy.sym_name(g): poly_str(v) for g, v in hom.mapping.items()},
-            }
-            for (src, dst), hom in sorted(
-                ps.restrictions.items(), key=lambda kv: (order(kv[0][0]), order(kv[0][1]))
-            )
-        ]
-        return {"nodes": nodes, "restrictions": edges}
-    return verify.run_all(bound=bound, field=field).as_dict()
+    ps = atlas.build_presheaf(field)
+    order = lambda ix: (len(ix.charts), ix.charts)
+    nodes = [
+        {
+            "name": ix.name,
+            "charts": [f"{c[0]},{c[1]}" for c in ix.charts],
+            "presentation": ps.presentation(ix).name,
+        }
+        for ix in sorted(ps.nodes, key=order)
+    ]
+    edges = [
+        {
+            "source": src.name,
+            "target": dst.name,
+            "images": {sy.sym_name(g): poly_str(v) for g, v in hom.mapping.items()},
+        }
+        for (src, dst), hom in sorted(
+            ps.restrictions.items(), key=lambda kv: (order(kv[0][0]), order(kv[0][1]))
+        )
+    ]
+    return {"nodes": nodes, "restrictions": edges}
 
 
 def cmd_export(args) -> int:
-    bound = _bound(args)
     field = _field(args)
-    doc = _export_doc(args.what, bound, field)
+    doc = _export_doc(args.what, field)
     text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     sys.stdout.write(text)
     if args.json:
@@ -301,20 +298,23 @@ def cmd_export(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=None, help="truncation weight (default 10)")
     common.add_argument("--field", choices=FIELD_KEYS, default="rat", help="coefficient field")
     common.add_argument("--json", metavar="PATH", help="also write a JSON document to PATH")
+    bounded = _ArgumentParser(add_help=False)
+    bounded.add_argument("--bound", type=int, default=None, help="truncation weight (default 10)")
 
     top = _ArgumentParser(prog="ncgrass", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
-    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    pv = sub.add_parser("verify", parents=[common, bounded], help="run a verification suite")
     pv.add_argument("selector", choices=SELECTORS)
     pv.add_argument("--quiet", action="store_true", help="suppress per-check lines")
     pv.add_argument("--triple", metavar="T", help="one cocycle triple, e.g. 1,2:2,3:3,4")
     pv.set_defaults(func=cmd_verify)
 
-    pn = sub.add_parser("normalform", parents=[common], help="normal form of an expression")
+    pn = sub.add_parser(
+        "normalform", parents=[common, bounded], help="normal form of an expression"
+    )
     pn.add_argument("expr")
     pn.add_argument(
         "--presentation",
@@ -333,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "triple"):
-        args.triple = None
     try:
         return args.func(args)
     except UsageError as e:

@@ -31,20 +31,20 @@ from .atlas import (
     build_presheaf,
     chart_entries,
     chart_presentation,
-    direct_far_images,
     disjoint_sigma,
     module_rules,
     outside,
     overlap_chain,
     overlap_type,
     pair_overlap,
+    pair_to_chain_hom,
     pivot_entry,
     quasi_det_element,
     triple_ordering,
     universal_module_relations,
 )
 from .fields import Field, PrimeField, QQ
-from .poly import Hom, NcPoly, abelianize, poly_str
+from .poly import NcPoly, abelianize, poly_str
 from .rewrite import commutative_truncated_dimension
 
 
@@ -183,24 +183,32 @@ def _reduce_check(
     bound: int,
     check_id: str,
     claim: str,
-    system_for=None,
     module_chart=None,
     alt=None,
 ) -> CheckResult:
     """Reduce every element to zero, escalating the completion bound. Failure
     requires a certified nonzero witness; otherwise the check is Inconclusive.
 
+    With module_chart, each rung's system also holds the elimination rules of
+    that chart's universal module relations.
+
     alt is the opposite-sign variant of a single element whose displayed sign
     is in doubt. The claim then records how alt fares at the deciding rung;
     the displayed sign is never silently replaced."""
     t0 = time.perf_counter()
     elements = list(elements)
-    make = system_for or (lambda b: pres.completed(b))
     if all(e.is_zero() for e in elements):
         return CheckResult(check_id, claim, "Verified", 0, None, time.perf_counter() - t0)
     nonzero = None
+    elim = []
+    if module_chart is not None:
+        elim = module_rules(module_chart, universal_module_relations(module_chart, pres.field))
     for b in _ladder(bound):
-        system = make(b)
+        system = pres.completed(b)
+        if elim:
+            system = system.copy()
+            for rule in elim:
+                system.add_rule(rule)
         nfs = [system.normal_form(e) for e in elements]
         nonzero = next((nf for nf in nfs if not nf.is_zero()), None)
         if nonzero is None:
@@ -358,9 +366,11 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
     base, far = chain.charts[0], chain.charts[-1]
     mid = chain.charts[1]
     tag = _chain_tag(chain.charts)
+    pair = pair_overlap(base, far, field, formulas)
+    r = pair_to_chain_hom(pair, chain)
     one = NcPoly.scalar(field, 1)
     det_b = quasi_det_element(base, far, field)
-    d2_img = chain.homs[far].apply(quasi_det_element(far, base, field))
+    d2_img = r.mapping[sy.quasi_det(far, base)]
     entries = [
         _reduce_check(
             pres,
@@ -379,9 +389,9 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
     ]
     sigma0 = disjoint_sigma(base, far)
     a41 = sy.entry(far, sigma0[4], sigma0[1])
-    direct = direct_far_images(chain, formulas)
-    for e in sorted(direct, key=lambda s: sy.KEY[s]):
+    for e in chart_entries(far):
         comp = chain.homs[far].mapping[e]
+        direct = r.apply(pair.to_base.mapping[e])
         cid = f"lemma{tag}:closed-form:{sy.sym_name(e)}"
         claim = (
             f"the composite image of {sy.sym_name(e)} through R({_cn(mid)}) "
@@ -389,19 +399,14 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
         )
         alt = None
         if e == a41:
-            alt = comp + direct[e]
+            alt = comp + direct
             claim += " (the displayed sign differs from the working that derives it)"
-        entries.append(_reduce_check(pres, [comp - direct[e]], bound, cid, claim, alt=alt))
-    pair = pair_overlap(base, far, field, formulas)
-    subst = {e: chain.homs[far].mapping[e] for e in chart_entries(far)}
-    subst[sy.quasi_det(far, base)] = d2_img
-    subst[sy.quasi_det_inverse(far, base)] = chain.inverse_of(d2_img)
-    h = Hom(field, subst)
-    for g in sorted(pres.generators[:4], key=lambda s: sy.KEY[s]):
+        entries.append(_reduce_check(pres, [comp - direct], bound, cid, claim, alt=alt))
+    for g in chart_entries(base):
         entries.append(
             _reduce_check(
                 pres,
-                [NcPoly.gen(field, g) - h.apply(pair.from_base.mapping[g])],
+                [NcPoly.gen(field, g) - r.apply(pair.from_base.mapping[g])],
                 bound,
                 f"lemma{tag}:inverse-form:{sy.sym_name(g)}",
                 f"substituting the composite far images into the reverse closed form recovers {sy.sym_name(g)}",
@@ -439,15 +444,16 @@ def verify_cocycle(
         raise ValueError("three distinct charts required")
     chain = overlap_chain(charts, field, formulas)
     pres = chain.presentation
-    far = chain.charts[-1]
-    direct = direct_far_images(chain, formulas)
+    base, far = chain.charts[0], chain.charts[-1]
+    pair = pair_overlap(base, far, field, formulas)
+    r = pair_to_chain_hom(pair, chain)
     tag = _chain_tag(chain.charts)
     entries = []
-    for e in sorted(direct, key=lambda s: sy.KEY[s]):
+    for e in chart_entries(far):
         entries.append(
             _reduce_check(
                 pres,
-                [chain.homs[far].mapping[e] - direct[e]],
+                [chain.homs[far].mapping[e] - r.apply(pair.to_base.mapping[e])],
                 bound,
                 f"cocycle{tag}:{sy.sym_name(e)}",
                 f"composite and direct overlap images of {sy.sym_name(e)} agree",
@@ -478,28 +484,15 @@ def verify_module_gluing(
             )
         ]
     pair = pair_overlap(lam, lam2, field, formulas)
-    pres = pair.presentation
-    mapping = {g: NcPoly.gen(field, g) for g in pres.generators}
-    mapping.update(pair.to_base.mapping)
-    tr = Hom(field, mapping)
-    elim = module_rules(lam, universal_module_relations(lam, field))
-
-    def with_elimination(b):
-        system = pres.completed(b).copy()
-        for rule in elim:
-            system.add_rule(rule)
-        return system
-
     entries = []
     for j, rel in zip(outside(lam2), universal_module_relations(lam2, field)):
         entries.append(
             _reduce_check(
-                pres,
-                [tr.apply(rel)],
+                pair.presentation,
+                [pair.to_base.apply(rel)],
                 bound,
                 f"module{tag}:x({j})",
                 f"the relation presenting x({j}) over R({_cn(lam2)}) maps to zero in the glued module over R({_cn(lam)})",
-                system_for=with_elimination,
                 module_chart=lam,
             )
         )

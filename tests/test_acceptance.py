@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,10 @@ from ncgrass.exprparse import parse_expr
 from ncgrass.fields import QQ
 from ncgrass.poly import abelianize
 from ncgrass.rewrite import count_irreducible_words, truncated_dimension
+
+
+# the bound-10 report over QQ that the benchmark also checks against
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify_all_b10.json"
 
 
 def _report(capsys, ok: bool, text: str) -> None:
@@ -256,11 +261,17 @@ def test_json_report_determinism(capsys, tmp_path):
         outs.append(proc.stdout)
         files.append(path.read_bytes())
     doc = json.loads(files[0].decode("utf-8"))
-    ok = outs[0] == outs[1] and files[0] == files[1] and doc["status"] == 0
+    golden = GOLDEN_REPORT.read_bytes()
+    ok = (
+        outs[0] == outs[1]
+        and files[0] == files[1]
+        and doc["status"] == 0
+        and files[0] == golden
+    )
     _report(
         capsys,
         ok,
         f"determinism: two consecutive full verification runs wrote byte-identical "
-        f"JSON reports ({len(files[0])} bytes, status 0)",
+        f"JSON reports ({len(files[0])} bytes, status 0), equal to {GOLDEN_REPORT.name}",
     )
     assert ok

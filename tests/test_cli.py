@@ -239,6 +239,18 @@ def test_export_overlaps_and_presheaf(capsys):
     assert "R(1,2)" in names and "min(1,2/1,3)" in names
 
 
+def test_export_reads_no_bound(capsys, monkeypatch):
+    # no export target completes a rewriting system, so none takes a bound
+    monkeypatch.setenv("NCGRASS_BOUND", "ten")
+    code, out, _ = run_cli(capsys, "export", "charts")
+    assert code == 0
+    assert len(json.loads(out)["charts"]) == 6
+    for argv in (["export", "charts", "--bound", "4"], ["export", "report"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+
+
 def test_export_unknown_target_exits_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["export", "everything"])

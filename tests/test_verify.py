@@ -1,5 +1,9 @@
 """Verification driver: outcomes, witnesses, reports, and mutation detection."""
 
+import hashlib
+import json
+from itertools import permutations
+
 import pytest
 
 from ncgrass import atlas, verify
@@ -49,6 +53,27 @@ def test_lemma_suite_is_inconclusive_at_a_starved_bound():
 def test_cocycle_requires_three_distinct_charts():
     with pytest.raises(ValueError):
         verify.verify_cocycle((1, 2), (1, 2), (3, 4))
+
+
+# sha256 over the 120 ordered chart triples, recorded before the cocycle check
+# read its direct images off atlas.pair_to_chain_hom
+COCYCLE_B4_DIGEST = "85b79032a46b2d81c6aed19e0d60b26fe60005944afd9441b912559571bc39a9"
+
+
+def test_cocycle_on_every_ordered_triple_matches_the_recorded_digest():
+    # each ordered triple's results at bound 4, or the error it raises: 24
+    # orders ask the chain for an inverse it cannot form
+    digest = hashlib.sha256()
+    errors = 0
+    for t in permutations(atlas.all_charts(), 3):
+        try:
+            doc = [r.as_dict() for r in verify.verify_cocycle(*t, bound=4)]
+        except ValueError as e:
+            doc = str(e)
+            errors += 1
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert errors == 24
+    assert digest.hexdigest() == COCYCLE_B4_DIGEST
 
 
 def test_cocycle_triangle_triple():
