@@ -21,7 +21,7 @@ from itertools import combinations
 from . import symbols as sy
 from .fields import QQ, Field
 from .poly import Hom, NcPoly, commutator, poly_str
-from .rewrite import RewriteRule, RewriteSystem, complete, orient, orient_module
+from .rewrite import RewriteRule, RewriteSystem, complete, orient
 
 Chart = tuple  # tuple[int, ...], sorted
 
@@ -103,32 +103,6 @@ def chart_relations(lam, field: Field = QQ) -> list[NcPoly]:
     return rels
 
 
-def chart_relations_bruteforce(lam, field: Field = QQ) -> set:
-    """Independent enumeration used as the dedup oracle: every row commutator
-    and every quartet shape, canonicalized, collected into a set of strings."""
-    lam = validate_chart(lam)
-    comp = outside(lam)
-    g = lambda i, j: NcPoly.gen(field, sy.entry(lam, i, j))
-    out = set()
-    for i in lam:
-        for j1 in comp:
-            for j2 in comp:
-                if j1 != j2:
-                    out.add(poly_str(commutator(g(i, j1), g(i, j2)).monic()))
-    for i1 in lam:
-        for i2 in lam:
-            if i1 == i2:
-                continue
-            for j1 in comp:
-                for j2 in comp:
-                    if j1 == j2:
-                        continue
-                    r = commutator(g(i1, j1), g(i2, j2)) - commutator(g(i1, j2), g(i2, j1))
-                    if not r.is_zero():
-                        out.add(poly_str(r.monic()))
-    return out
-
-
 def universal_module_relations(lam, field: Field = QQ) -> list[NcPoly]:
     """x_j = sum over i in the chart of a(i,j) x_i, one relation per j outside."""
     lam = validate_chart(lam)
@@ -141,10 +115,23 @@ def universal_module_relations(lam, field: Field = QQ) -> list[NcPoly]:
     return rels
 
 
-def module_rules(lam: Chart, relations) -> list[RewriteRule]:
-    """The universal module relations of chart lam, in order, oriented as the
-    rules that eliminate x(j) for each j outside the chart."""
-    return [orient_module(rel, sy.module_var(j)) for j, rel in zip(outside(lam), relations)]
+def eliminate_module_vars(lam: Chart, p: NcPoly) -> NcPoly:
+    """p with each x(j), j outside the chart, replaced by x(j) minus its
+    universal module relation, that is by the sum over i in the chart of
+    a(i,j) x(i). Every other symbol is left alone."""
+    f = p.field
+    images = {
+        sy.module_var(j): NcPoly.gen(f, sy.module_var(j)) - rel
+        for j, rel in zip(outside(lam), universal_module_relations(lam, f))
+    }
+    out = NcPoly.zero(f)
+    for w, c in p.terms.items():
+        t = NcPoly.from_word(f, [s for s in w if s not in images], c)
+        for s in w:
+            if s in images:
+                t = t * images[s]
+        out = out + t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +164,17 @@ class AlgebraPresentation:
         return self.commutation_relations + self.definition_relations + self.inverse_relations
 
     def rewrite_rules(self) -> list[RewriteRule]:
-        rules = [orient(r) for r in self.relations]
-        return rules + module_rules(self.base_chart, self.module_relations)
+        return [orient(r) for r in self.relations]
 
     def key(self) -> tuple:
         """The completion cache key: equal for presentations with the same
-        field, generators and relations. Computed on the first call, since a
-        presentation is not changed once built."""
+        field, generators and relations, so F(i,j) shares R(i,j)'s. Computed
+        on the first call, since a presentation is not changed once built."""
         if self._key is None:
             self._key = (
                 self.field.key,
                 self.generators,
                 tuple(poly_str(r) for r in self.relations),
-                tuple(poly_str(r) for r in self.module_relations),
             )
         return self._key
 
@@ -623,7 +608,9 @@ def overlap_chain(
     """Base-chart presentation of the overlap of a chart chain: walk the chain,
     pushing each hop's transition down to base coordinates and inverting, over
     the base, exactly what the hop requires. Single-entry requirements become
-    plain entry inverses; non-monomial ones are adjoined as formal inverses."""
+    plain entry inverses; non-monomial ones are adjoined as formal inverses.
+    The chain is also localized at the base->far pivot of each later chart
+    adjacent to the base, which no hop inverts in a chain through a disjoint pair."""
     charts = tuple(_chart(c) for c in charts)
     if len(set(charts)) != len(charts) or len(charts) < 2:
         raise ValueError("chain needs at least two distinct charts")
@@ -728,6 +715,9 @@ def overlap_chain(
                     )
         homs[nxt] = phi_next
         prev = nxt
+    for c in charts[2:]:
+        if overlap_type(base, c) == "adjacent":
+            letter_inverse(pivot_entry(base, c))
 
     pres = AlgebraPresentation(
         name="O(" + "|".join(f"{c[0]},{c[1]}" for c in charts) + ")",

@@ -195,6 +195,7 @@ def cmd_normalform(args) -> int:
     except exprparse.ExprError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    p = atlas.eliminate_module_vars(pres.base_chart, p)
     out = poly_str(pres.completed(bound).normal_form(p))
     print(out)
     if args.json:

@@ -252,15 +252,6 @@ def echelon_matrices(q: int):
                 yield (tuple(row1), tuple(row2))
 
 
-def subspace_pattern_counts(q: int) -> dict:
-    """Echelon matrices per pivot-column pair (1-based)."""
-    counts: dict = {}
-    for m in echelon_matrices(q):
-        pivots = tuple(row.index(1) + 1 for row in m)
-        counts[pivots] = counts.get(pivots, 0) + 1
-    return counts
-
-
 def subspace_oracle(q: int) -> int:
     """Number of 2-dimensional subspaces of F_q^4, by brute-force enumeration."""
     return sum(1 for _ in echelon_matrices(q))

@@ -24,38 +24,28 @@ from itertools import combinations_with_replacement
 
 from . import symbols as sy
 from .fields import Field, check_same_field
-from .poly import NcPoly, Word, abelianize, mul_words, order_key, word_weight
+from .poly import NcPoly, Word, abelianize, order_key, word_weight
 
 
 class RewriteRule:
-    """lhs word -> rhs polynomial, with lhs strictly dominating every rhs word.
+    """lhs word -> rhs polynomial, with lhs strictly dominating every rhs word."""
 
-    Module-elimination rules are the one sanctioned exception: their lhs is a
-    single module variable and their rhs may be heavier; termination holds
-    because each application removes one eliminable variable for good.
-    """
+    __slots__ = ("lhs", "rhs", "weight")
 
-    __slots__ = ("lhs", "rhs", "is_module", "weight")
-
-    def __init__(self, lhs: Word, rhs: NcPoly, is_module: bool = False):
+    def __init__(self, lhs: Word, rhs: NcPoly):
         self.lhs = tuple(lhs)
         self.rhs = rhs
-        self.is_module = is_module
         self.weight = word_weight(self.lhs)
         if not self.lhs:
             raise ValueError("rule lhs may not be the empty word")
-        if is_module:
-            if len(self.lhs) != 1 or not sy.is_module_var(self.lhs[0]):
-                raise ValueError("module rule lhs must be a single module variable")
-            return
-        # an ordinary rule holds no module variable, so a rewrite with it
-        # keeps a word normalized (see RewriteSystem._expand)
+        # a rule holds no module variable, so a rewrite with it keeps a word
+        # normalized (see RewriteSystem._expand)
         if any(sy.is_module_var(s) for s in self.lhs):
-            raise ValueError("ordinary rule lhs may not contain module variables")
+            raise ValueError("rule lhs may not contain module variables")
         lk = order_key(self.lhs)
         for w in rhs.terms:
             if any(sy.is_module_var(s) for s in w):
-                raise ValueError("ordinary rule rhs may not contain module variables")
+                raise ValueError("rule rhs may not contain module variables")
             if not order_key(w) < lk:
                 raise ValueError(f"rule lhs does not dominate rhs word {w}")
 
@@ -72,20 +62,6 @@ def orient(relation: NcPoly) -> RewriteRule:
     scale = f.neg(f.inv(lc))
     rhs = NcPoly(f, {w: f.mul(scale, c) for w, c in relation.terms.items() if w != lw})
     return RewriteRule(lw, rhs)
-
-
-def orient_module(relation: NcPoly, eliminated: int) -> RewriteRule:
-    """Orient x_j - (expansion) as the elimination rule x_j -> expansion."""
-    f = relation.field
-    lhs = (eliminated,)
-    c = relation.terms.get(lhs)
-    if c is None:
-        raise ValueError("eliminated variable does not occur linearly")
-    inv = f.inv(c)
-    rhs = NcPoly(
-        f, {w: f.neg(f.mul(inv, cc)) for w, cc in relation.terms.items() if w != lhs}
-    )
-    return RewriteRule(lhs, rhs, is_module=True)
 
 
 # the trie key of a rule index: symbol ids are >= 0
@@ -148,25 +124,14 @@ class RewriteSystem:
                 return pos, best
         return None
 
-    def is_irreducible(self, w: Word) -> bool:
-        return self.find_redex(w) is None
-
     def _expand(self, w: Word, pos: int, idx: int) -> dict:
+        """One rewrite of w at pos with rule idx. No rule holds a module
+        variable, so each word is already normalized, distinct rhs words stay
+        distinct and no coefficient cancels."""
         rule = self.rules[idx]
         prefix = w[:pos]
         suffix = w[pos + len(rule.lhs) :]
-        if not rule.is_module:
-            # no module variable in the rule, so each word is already
-            # normalized, distinct rhs words stay distinct and no coefficient
-            # cancels
-            return {prefix + rw + suffix: rc for rw, rc in rule.rhs.terms.items()}
-        f = self.field
-        out: dict = {}
-        for rw, rc in rule.rhs.terms.items():
-            nw = mul_words(mul_words(prefix, rw), suffix)
-            c0 = out.get(nw)
-            out[nw] = f.add(c0, rc) if c0 is not None else rc
-        return {wd: c for wd, c in out.items() if not f.is_zero(c)}
+        return {prefix + rw + suffix: rc for rw, rc in rule.rhs.terms.items()}
 
     def nf_word(self, w: Word) -> dict:
         """Normal form of a single word, as a terms dict. Memoized. A word
@@ -309,8 +274,6 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
         """Index rule m and push its superpositions with every rule k <= m
         whose weight lies in (above, bound]."""
         r = rules[m]
-        if r.is_module:  # module rules never superpose
-            return
         u, wm, n = r.lhs, r.weight, len(r.lhs)
         pw = [0]  # pw[o] is the weight of u[:o]
         for x in u:
@@ -365,33 +328,7 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     return s
 
 
-# independent dimension oracle (no rewriting involved)
-
-
-def words_of_weight(generators, weight: int) -> list[Word]:
-    """All words over `generators` of exactly the given total weight,
-    in deterministic order."""
-    gens = sorted(generators, key=lambda s: sy.KEY[s])
-    out: list[Word] = []
-
-    def rec(prefix: tuple, left: int):
-        if left == 0:
-            out.append(prefix)
-            return
-        for g in gens:
-            wg = sy.WEIGHT[g]
-            if wg <= left:
-                rec(prefix + (g,), left - wg)
-
-    rec((), weight)
-    return out
-
-
-def _relation_weight(rel: NcPoly) -> int:
-    wts = {word_weight(w) for w in rel.terms}
-    if len(wts) != 1:
-        raise ValueError("truncated dimension needs homogeneous relations")
-    return wts.pop()
+# the commutative dimension oracle (no rewriting involved)
 
 
 def _rank(rows, field: Field, key) -> int:
@@ -420,35 +357,10 @@ def _rank(rows, field: Field, key) -> int:
     return rank
 
 
-def truncated_dimension(field: Field, generators, relations, degree: int) -> int:
-    """Dimension of the weight-`degree` slice of the quotient algebra, computed
-    by spanning { u * r * v } and row-reducing exactly. Independent of the
-    rewrite machinery by construction."""
-    basis = words_of_weight(generators, degree)
-    rows = []
-    for rel in relations:
-        check_same_field(field, rel.field)
-        k = _relation_weight(rel)
-        if k > degree:
-            continue
-        for wl in range(0, degree - k + 1):
-            for u in words_of_weight(generators, wl):
-                for v in words_of_weight(generators, degree - k - wl):
-                    up = NcPoly.from_word(field, u)
-                    vp = NcPoly.from_word(field, v)
-                    prod = up * rel * vp
-                    if not prod.is_zero():
-                        rows.append(prod.terms)
-    return len(basis) - _rank(rows, field, order_key)
-
-
-def count_irreducible_words(system: RewriteSystem, generators, weight: int) -> int:
-    return sum(1 for w in words_of_weight(generators, weight) if system.is_irreducible(w))
-
-
 def commutative_truncated_dimension(field: Field, generators, relations, degree: int) -> int:
-    """Same oracle for the abelianization: monomials are sorted words, and
-    each row is a monomial times a relation, abelianized."""
+    """Dimension of the weight-`degree` slice of the abelianized quotient:
+    monomials are sorted words, and each row is a monomial times a relation,
+    abelianized, row-reduced exactly."""
     gens = sorted(generators, key=lambda s: sy.KEY[s])
     if any(sy.WEIGHT[g] != 1 for g in gens):
         raise ValueError("commutative oracle expects weight-1 generators")

@@ -32,7 +32,7 @@ from .atlas import (
     chart_entries,
     chart_presentation,
     disjoint_sigma,
-    module_rules,
+    eliminate_module_vars,
     outside,
     overlap_chain,
     overlap_type,
@@ -135,18 +135,16 @@ def _sample(field: Field, rng: random.Random):
     return rng.randint(-9, 9)
 
 
-def _certified_point(pres: AlgebraPresentation, witness, seed: str, module_chart=None):
+def _certified_point(pres: AlgebraPresentation, witness, seed: str):
     """A point of the presented variety (all relations satisfied, all inverted
     elements nonzero) where the witness evaluates to a nonzero value, or None
     after 100 samples.
 
-    Free generators get sampled values, then the presentation's definitions
-    are evaluated in order; module variables over `module_chart` are sampled
-    on the chart rows and set to their elimination rules' values outside them."""
+    Free generators and the witness's module variables get sampled values,
+    then the definitions are evaluated in order; each inverted element is the
+    expression of an inverse definition, so where one vanishes that divides by zero."""
     field = pres.field
     rng = random.Random("ncgrass:" + seed)
-    if module_chart is not None:
-        elim = module_rules(module_chart, universal_module_relations(module_chart, field))
     defined = {sid for sid, _, _ in pres.definitions}
     free = [g for g in pres.generators if g not in defined]
     mvars = sorted(
@@ -160,18 +158,10 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str, module_chart
                 values[sid] = field.inv(v) if as_inv else v
         except ZeroDivisionError:
             continue
-        if any(field.is_zero(u.evaluate(values)) for u in pres.inverted):
-            continue
         if any(not field.is_zero(r.evaluate(values)) for r in pres.relations):
             continue
-        if module_chart is not None:
-            for i in module_chart:
-                values[sy.module_var(i)] = _sample(field, rng)
-            for rule in elim:
-                values[rule.lhs[0]] = rule.rhs.evaluate(values)
-        else:
-            for x in mvars:
-                values[x] = _sample(field, rng)
+        for x in mvars:
+            values[x] = _sample(field, rng)
         if not field.is_zero(witness.evaluate(values)):
             return values
     return None
@@ -183,14 +173,10 @@ def _reduce_check(
     bound: int,
     check_id: str,
     claim: str,
-    module_chart=None,
     alt=None,
 ) -> CheckResult:
     """Reduce every element to zero, escalating the completion bound. Failure
     requires a certified nonzero witness; otherwise the check is Inconclusive.
-
-    With module_chart, each rung's system also holds the elimination rules of
-    that chart's universal module relations.
 
     alt is the opposite-sign variant of a single element whose displayed sign
     is in doubt. The claim then records how alt fares at the deciding rung;
@@ -200,15 +186,8 @@ def _reduce_check(
     if all(e.is_zero() for e in elements):
         return CheckResult(check_id, claim, "Verified", 0, None, time.perf_counter() - t0)
     nonzero = None
-    elim = []
-    if module_chart is not None:
-        elim = module_rules(module_chart, universal_module_relations(module_chart, pres.field))
     for b in _ladder(bound):
         system = pres.completed(b)
-        if elim:
-            system = system.copy()
-            for rule in elim:
-                system.add_rule(rule)
         nfs = [system.normal_form(e) for e in elements]
         nonzero = next((nf for nf in nfs if not nf.is_zero()), None)
         if nonzero is None:
@@ -223,7 +202,7 @@ def _reduce_check(
             return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
     if alt is not None and system.normal_form(alt).is_zero():
         claim += "; the opposite-sign variant reduces to zero instead"
-    point = _certified_point(pres, nonzero, check_id, module_chart=module_chart)
+    point = _certified_point(pres, nonzero, check_id)
     if point is not None:
         return CheckResult(
             check_id, claim, "Failed", bound, poly_str(nonzero), time.perf_counter() - t0
@@ -469,9 +448,9 @@ def verify_module_gluing(
     field: Field = QQ,
     formulas: FormulaSet = CANONICAL,
 ) -> list[CheckResult]:
-    """The far chart's module relations, with their coefficients carried
-    through the transition, reduce to zero modulo the overlap relations and
-    the base chart's elimination rules."""
+    """The far chart's module relations, carried through the transition and
+    with the base chart's module relations substituted for x(j), j outside
+    the base chart, reduce to zero modulo the overlap relations."""
     lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
     tag = _pair_tag(lam, lam2)
     if lam == lam2:
@@ -489,11 +468,10 @@ def verify_module_gluing(
         entries.append(
             _reduce_check(
                 pair.presentation,
-                [pair.to_base.apply(rel)],
+                [eliminate_module_vars(lam, pair.to_base.apply(rel))],
                 bound,
                 f"module{tag}:x({j})",
                 f"the relation presenting x({j}) over R({_cn(lam2)}) maps to zero in the glued module over R({_cn(lam)})",
-                module_chart=lam,
             )
         )
     return entries

@@ -27,7 +27,7 @@ from ncgrass.atlas import (
 from ncgrass.exprparse import parse_expr
 from ncgrass.fields import QQ
 from ncgrass.poly import abelianize
-from ncgrass.rewrite import count_irreducible_words, truncated_dimension
+from oracles import count_irreducible_words, truncated_dimension
 
 
 # the bound-10 report over QQ that the benchmark also checks against

@@ -1,5 +1,6 @@
 """Chart presentations, overlap localizations, chains, and the index poset."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -8,6 +9,7 @@ from ncgrass import atlas
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
 from ncgrass.poly import NcPoly, poly_str
+from oracles import chart_relations_bruteforce
 
 
 def test_all_charts():
@@ -33,7 +35,7 @@ def test_chart_relations_against_bruteforce_oracle():
     # produce the same ideal generators
     for lam in [(1, 2), (1, 3), (2, 4), (3, 4)]:
         fast = {poly_str(r.monic()) for r in atlas.chart_relations(lam)}
-        slow = atlas.chart_relations_bruteforce(lam)
+        slow = chart_relations_bruteforce(lam)
         assert fast == slow
         assert len(fast) == 3
 
@@ -65,6 +67,31 @@ def test_universal_module_relations():
             if sy.is_module_var(s) and sy.sym(s).i not in (1, 3)
         }
     assert outside == {2, 4}
+
+
+def test_eliminate_module_vars_expands_only_the_outside_variables():
+    x = lambda k: NcPoly.gen(QQ, sy.module_var(k))
+    a13 = NcPoly.gen(QQ, sy.entry((1, 2), 1, 3))
+    for lam in atlas.all_charts():
+        system = atlas.chart_presentation(lam, with_module=True).completed(4)
+        for j in atlas.outside(lam):
+            expansion = NcPoly.zero(QQ)
+            for i in lam:
+                expansion = expansion + NcPoly.gen(QQ, sy.entry(lam, i, j)) * x(i)
+            assert atlas.eliminate_module_vars(lam, x(j)) == expansion
+            # the expansion is already a normal form of the chart algebra
+            assert system.normal_form(expansion) == expansion
+        for i in lam:
+            assert atlas.eliminate_module_vars(lam, x(i)) == x(i)
+    # every other letter stays where it is, and x(3) and x(4) are central
+    p = (a13 * x(4)).scale(2) - x(1) * x(3) + NcPoly.scalar(QQ, 5)
+    a = lambda i, j: NcPoly.gen(QQ, sy.entry((1, 2), i, j))
+    assert atlas.eliminate_module_vars((1, 2), p) == (
+        (a13 * a(1, 4) * x(1) + a13 * a(2, 4) * x(2)).scale(2)
+        - a13 * x(1) * x(1)
+        - a(2, 3) * x(1) * x(2)
+        + NcPoly.scalar(QQ, 5)
+    )
 
 
 def test_adjacent_overlap_structure():
@@ -161,6 +188,39 @@ def test_triple_ordering():
     assert len(list(combinations(atlas.all_charts(), 3))) == 20
 
 
+def _every_presentation():
+    """The 6 charts, the 30 ordered pair overlaps and the 120 ordered chains."""
+    charts = atlas.all_charts()
+    yield from (atlas.chart_presentation(c) for c in charts)
+    yield from (atlas.pair_overlap(a, b).presentation for a, b in permutations(charts, 2))
+    yield from (atlas.overlap_chain(t).presentation for t in permutations(charts, 3))
+
+
+def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
+    # so evaluating the definitions in order divides by zero wherever an
+    # inverted element vanishes: verify._certified_point tests no inverted
+    # element, and points.transport tests them only after such a division
+    rng = random.Random(3)
+    count = 0
+    for pres in _every_presentation():
+        sids = [sid for sid, _, _ in pres.definitions]
+        assert len(set(sids)) == len(sids), pres.name
+        inverse_exprs = [expr for _, expr, as_inv in pres.definitions if as_inv]
+        assert all(u in inverse_exprs for u in pres.inverted), pres.name
+        free = [g for g in pres.generators if g not in sids]
+        for _ in range(20):
+            values = {g: rng.randint(-1, 1) for g in free}
+            try:
+                for sid, expr, as_inv in pres.definitions:
+                    v = expr.evaluate(values)
+                    values[sid] = QQ.inv(v) if as_inv else v
+            except ZeroDivisionError:
+                continue
+            assert not any(QQ.is_zero(u.evaluate(values)) for u in pres.inverted)
+        count += 1
+    assert count == 156
+
+
 def test_chain_presentation_names():
     chain = atlas.overlap_chain(((1, 2), (2, 3), (3, 4)))
     assert chain.presentation.name == "O(1,2|2,3|3,4)"
@@ -219,14 +279,12 @@ def test_equal_presentations_share_one_key_and_one_completion():
     first = atlas.chart_presentation((1, 2), with_module=True)
     second = atlas.chart_presentation((1, 2), with_module=True)
     key = first.key()
-    assert key == (
-        QQ.key,
-        first.generators,
-        tuple(poly_str(r) for r in first.relations),
-        tuple(poly_str(r) for r in first.module_relations),
-    )
+    assert key == (QQ.key, first.generators, tuple(poly_str(r) for r in first.relations))
     assert first.key() is key  # computed once
     assert second.key() == key and second.key() is not key
     assert first == second
     assert second.completed(4) is first.completed(4)
-    assert atlas.chart_presentation((1, 2)).key() != key
+    # module relations enter no completion, so F(1,2) and R(1,2) share one
+    bare = atlas.chart_presentation((1, 2))
+    assert bare.key() == key and bare != first
+    assert bare.completed(4) is first.completed(4)

@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, goldens, determinism, export schema."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from ncgrass import atlas
+from ncgrass import symbols as sy
 from ncgrass.cli import main
 from ncgrass.fields import QQ
 from ncgrass.poly import NcPoly, poly_str
@@ -45,6 +48,25 @@ def test_verify_single_cocycle_triple(capsys):
     code, out, _ = run_cli(capsys, "verify", "cocycle", "--triple", "1,2:2,3:3,4", "--quiet")
     assert code == 0
     assert "checked 4: 4 verified" in out
+
+
+def test_every_valid_triple_exits_zero(capsys):
+    # the adjacent, disjoint, adjacent orders such as 1,2:1,3:2,4, the only
+    # ones whose chain needs the base->far pivot inverted on its own
+    orders = [
+        t
+        for t in permutations(atlas.all_charts(), 3)
+        if [atlas.overlap_type(a, b) for a, b in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))]
+        == ["adjacent", "disjoint", "adjacent"]
+    ]
+    assert len(orders) == 24
+    for t in orders:
+        arg = ":".join(f"{c[0]},{c[1]}" for c in t)
+        code, out, _ = run_cli(
+            capsys, "verify", "cocycle", "--triple", arg, "--bound", "8", "--quiet"
+        )
+        assert code == 0, arg
+        assert "checked 4: 4 verified" in out
 
 
 def test_verify_prints_one_line_per_check(capsys):
@@ -144,6 +166,25 @@ def test_normalform_goldens(capsys):
         "--bound", "6",
     )
     assert code == 0 and out == "a(3,4;3,1)\n"
+
+
+# sha256 over the normal forms at bound 6 of x(k) and e*x(k) in every F(i,j),
+# for k = 1..4 and every chart entry e, recorded while the module relations
+# were rewrite rules of the completed system
+NORMALFORM_F_DIGEST = "c8f644a86f75953f3984d37aed8733187360137a27798f0b877848e41b591309"
+
+
+def test_normalform_in_every_module_context_matches_the_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    for lam in atlas.all_charts():
+        for k in range(1, 5):
+            for e in (None,) + atlas.chart_entries(lam):
+                expr = f"x({k})" if e is None else f"{sy.sym_name(e)}*x({k})"
+                code, out, _ = run_cli(
+                    capsys, "normalform", expr, "-p", f"F({lam[0]},{lam[1]})", "--bound", "6"
+                )
+                digest.update(json.dumps([expr, lam, code, out]).encode() + b"\n")
+    assert digest.hexdigest() == NORMALFORM_F_DIGEST
 
 
 def test_normalform_triple_context(capsys):

@@ -20,10 +20,10 @@ from ncgrass.points import (
     roundtrip_failures,
     rref,
     subspace_oracle,
-    subspace_pattern_counts,
     transport,
     transport_table,
 )
+from oracles import subspace_pattern_counts
 
 EXPECTED = {2: 35, 3: 130, 5: 806}
 

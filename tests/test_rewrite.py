@@ -25,12 +25,9 @@ from ncgrass.rewrite import (
     RewriteSystem,
     commutative_truncated_dimension,
     complete,
-    count_irreducible_words,
     orient,
-    orient_module,
-    truncated_dimension,
-    words_of_weight,
 )
+from oracles import count_irreducible_words, truncated_dimension, words_of_weight
 
 
 def _gens():
@@ -55,19 +52,6 @@ def test_orient_picks_the_leading_word():
         orient(NcPoly.zero(QQ))
     with pytest.raises(ValueError):
         orient(NcPoly.scalar(QQ, Fraction(3)))  # a unit relation collapses the ring
-
-
-def test_orient_module_eliminates_the_outside_variable():
-    rel = next(iter(atlas.universal_module_relations((1, 2), QQ)))
-    j = next(
-        s
-        for w in rel.terms
-        for s in w
-        if sy.is_module_var(s) and sy.sym(s).i not in (1, 2)
-    )
-    rule = orient_module(rel, j)
-    assert rule.lhs == (j,)
-    assert rule.is_module
 
 
 def test_chart_relations_reduce_to_zero():
@@ -170,17 +154,6 @@ def test_commutative_dimension_of_a_polynomial_ring():
         assert commutative_truncated_dimension(QQ, gens, quadric, d) == expect
 
 
-def test_module_rules_eliminate_outside_variables():
-    x = lambda k: NcPoly.gen(QQ, sy.module_var(k))
-    for lam in atlas.all_charts():
-        system = atlas.chart_presentation(lam, with_module=True).completed(4)
-        for j in atlas.outside(lam):
-            expansion = NcPoly.zero(QQ)
-            for i in lam:
-                expansion = expansion + NcPoly.gen(QQ, sy.entry(lam, i, j)) * x(i)
-            assert system.normal_form(x(j)) == expansion
-
-
 def _rule_list_digest(system):
     """sha256 of the rule list as (lhs, rhs terms in print order), by symbol name."""
     items = [
@@ -275,26 +248,22 @@ _MODULE_VARS = [sy.module_var(k) for k in (1, 2, 3)]
 _context_word = st.lists(st.sampled_from(_CHAIN_LETTERS), max_size=3).map(tuple)
 
 
-_F12 = atlas.chart_presentation((1, 2), with_module=True)
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(_context_word, _context_word, st.lists(st.sampled_from(_MODULE_VARS), max_size=2))
 @example((), (), [_MODULE_VARS[0]])
 def test_one_step_expansion_equals_the_generic_one(prefix, suffix, tail):
-    # term for term and in the same order, for every rule of the chain, whose
-    # ordinary rules take the path without renormalizing, and of F(1,2),
-    # whose module rules meet the rest of a module tail
+    # term for term and in the same order, for every rule of the chain, on
+    # words that end in a module tail, as the elements of module gluing do
     tail = normalize_word(tail)
-    for system in (_CHAIN.completed(8), _F12.completed(4)):
-        for idx, rule in enumerate(system.rules):
-            w = normalize_word(prefix + rule.lhs + suffix + tail)
-            pos = w.index(rule.lhs[0]) if rule.is_module else len(prefix)
-            got = system._expand(w, pos, idx)
-            assert list(got.items()) == list(_generic_expand(system, w, pos, idx).items())
+    system = _CHAIN.completed(8)
+    for idx, rule in enumerate(system.rules):
+        w = normalize_word(prefix + rule.lhs + suffix + tail)
+        got = system._expand(w, len(prefix), idx)
+        assert list(got.items()) == list(_generic_expand(system, w, len(prefix), idx).items())
 
 
 def test_ordinary_rules_hold_no_module_variable():
+    # no rule holds one: module variables are eliminated before reduction
     a, x = sy.entry((1, 2), 1, 3), sy.module_var(1)
     with pytest.raises(ValueError):
         RewriteRule((a, a), NcPoly.from_word(QQ, (a, x)))
@@ -312,7 +281,7 @@ def test_a_copy_has_its_own_lhs_trie():
         for r in original.rules
         if len(r.lhs) > 1
         for g in _CHAIN_LETTERS
-        if original.is_irreducible(r.lhs[:-1] + (g,))
+        if original.find_redex(r.lhs[:-1] + (g,)) is None
     )
     copy = original.copy()
     copy.add_rule(RewriteRule(word, NcPoly.zero(QQ)))
@@ -393,10 +362,7 @@ def _reference_superpositions(r1, r2):
     (weight of the superposed word, difference of its two one-step
     reductions) in scan order: the proper overlaps (a suffix of r1.lhs is a
     prefix of r2.lhs) shortest first, then the inclusions of r2.lhs in r1.lhs
-    from left to right. The products are generic NcPoly ones. Module rules
-    never superpose."""
-    if r1.is_module or r2.is_module:
-        return []
+    from left to right. The products are generic NcPoly ones."""
     f = r1.rhs.field
     u, v = r1.lhs, r2.lhs
     nu, nv = len(u), len(v)
@@ -493,29 +459,24 @@ def _zero_rhs_system(words, lo):
     """Rules w -> 0, completed at lo when lo >= 0. Zero right-hand sides
     resolve every ambiguity, so completion keeps exactly these rules."""
     zero = NcPoly.zero(QQ)
-    rules = [RewriteRule(w, zero, is_module=sy.is_module_var(w[0])) for w in words]
+    rules = [RewriteRule(w, zero) for w in words]
     system = RewriteSystem(QQ, rules)
     return complete(system, lo) if lo >= 0 else system
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.lists(_lhs_words, max_size=7), st.integers(0, 2), st.integers(-1, 8), st.integers(0, 12))
+@given(st.lists(_lhs_words, max_size=7), st.integers(-1, 8), st.integers(0, 12))
 # self-overlaps, an inclusion and an equal lhs, from scratch and resumed
-@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 1, -1, 100)
-@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 1, 3, 5)
-def test_pair_index_is_exact_on_random_lhs_sets(words, modules, lo, bound):
-    words = list(words)
-    for k in range(modules):
-        words.insert(k * 2, (sy.module_var(3 + k),))
+@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], -1, 100)
+@example([(_LETTERS[0], _LETTERS[1], _LETTERS[0])] * 2 + [(_LETTERS[1],)], 3, 5)
+def test_pair_index_is_exact_on_random_lhs_sets(words, lo, bound):
     system = _zero_rhs_system(words, lo)
     got = _assert_pushes_are_a_pair_scan(system, bound)
     assert got.rules == system.rules
 
 
 _A, _B, _C = _LETTERS
-_redex_rule = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4).map(tuple) | (
-    st.sampled_from(_MODULE_VARS).map(lambda x: (x,))
-)
+_redex_rule = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4).map(tuple)
 # a core word followed by a module-variable tail, as words are kept
 _redex_word = st.tuples(
     st.lists(st.sampled_from(_LETTERS), max_size=8),
@@ -526,16 +487,14 @@ _redex_word = st.tuples(
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(_redex_rule, min_size=1, max_size=8), st.lists(_redex_word, max_size=10))
 # a duplicate lhs, an lhs that is a prefix, a suffix and a subword of
-# another, a single letter, and a module rule on a module tail
+# another, a single letter, and words with a module tail
 @example(
-    [(_A, _B, _C), (_A, _B), (_B, _C), (_B,), (_A, _B), (_MODULE_VARS[1],)],
+    [(_A, _B, _C), (_A, _B), (_B, _C), (_B,), (_A, _B)],
     [(_C, _A, _B, _C), (_A, _B), (_C, _B, _C, _MODULE_VARS[1]), (_C, _MODULE_VARS[1]), ()],
 )
 def test_find_redex_equals_a_linear_scan_on_random_rule_lists(lhs_words, words):
     zero = NcPoly.zero(QQ)
-    rules = [
-        RewriteRule(lhs, zero, is_module=sy.is_module_var(lhs[0])) for lhs in lhs_words
-    ]
+    rules = [RewriteRule(lhs, zero) for lhs in lhs_words]
     system = RewriteSystem(QQ, rules)
     for w in words:
         for pos in range(len(w) + 1):  # w and each of its suffixes

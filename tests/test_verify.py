@@ -55,25 +55,49 @@ def test_cocycle_requires_three_distinct_charts():
         verify.verify_cocycle((1, 2), (1, 2), (3, 4))
 
 
-# sha256 over the 120 ordered chart triples, recorded before the cocycle check
-# read its direct images off atlas.pair_to_chain_hom
-COCYCLE_B4_DIGEST = "85b79032a46b2d81c6aed19e0d60b26fe60005944afd9441b912559571bc39a9"
+# sha256 over the 120 ordered chart triples at bound 4, recorded once the
+# base->far pivot of a chain through a disjoint pair was inverted
+COCYCLE_B4_DIGEST = "9f802a8c35bc5004b30562928223b8d825d217b9433c3d2a1dc8351d54c575e7"
+
+# sha256 over the 96 other ordered triples at bound 4, recorded before that
+# pivot was inverted, when the 24 orders below raised a ValueError
+COCYCLE_B4_DIGEST_96 = "26993e5d721d183732869522639054f92a225eb20687ce9dbf4d02ed03a4fa2d"
+
+
+def _adjacent_disjoint_adjacent(t):
+    """The orders whose base chart is adjacent to the middle and the far
+    chart, which are disjoint, e.g. (1,2), (1,3), (2,4)."""
+    kinds = (
+        atlas.overlap_type(t[0], t[1]),
+        atlas.overlap_type(t[1], t[2]),
+        atlas.overlap_type(t[0], t[2]),
+    )
+    return kinds == ("adjacent", "disjoint", "adjacent")
+
+
+ADJACENT_DISJOINT_ADJACENT = [
+    t for t in permutations(atlas.all_charts(), 3) if _adjacent_disjoint_adjacent(t)
+]
 
 
 def test_cocycle_on_every_ordered_triple_matches_the_recorded_digest():
-    # each ordered triple's results at bound 4, or the error it raises: 24
-    # orders ask the chain for an inverse it cannot form
-    digest = hashlib.sha256()
-    errors = 0
+    # each ordered triple's results at bound 4; every order forms its chain
+    digest, digest_96 = hashlib.sha256(), hashlib.sha256()
     for t in permutations(atlas.all_charts(), 3):
-        try:
-            doc = [r.as_dict() for r in verify.verify_cocycle(*t, bound=4)]
-        except ValueError as e:
-            doc = str(e)
-            errors += 1
-        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-    assert errors == 24
+        doc = [r.as_dict() for r in verify.verify_cocycle(*t, bound=4)]
+        line = json.dumps(doc, sort_keys=True).encode() + b"\n"
+        digest.update(line)
+        if not _adjacent_disjoint_adjacent(t):
+            digest_96.update(line)
+    assert digest_96.hexdigest() == COCYCLE_B4_DIGEST_96
     assert digest.hexdigest() == COCYCLE_B4_DIGEST
+
+
+def test_cocycle_verifies_on_every_adjacent_disjoint_adjacent_order():
+    assert len(ADJACENT_DISJOINT_ADJACENT) == 24
+    for t in ADJACENT_DISJOINT_ADJACENT:
+        entries = verify.verify_cocycle(*t, bound=8)
+        assert [(r.outcome, r.bound) for r in entries] == [("Verified", 6)] * 4, t
 
 
 def test_cocycle_triangle_triple():
@@ -96,6 +120,25 @@ def test_module_gluing_disjoint_pair():
         "module(1,2|3,4):x(2)",
     }
     assert all(r.verified for r in entries)
+
+
+# sha256 over (check_id, outcome, bound, witness, claim) of module gluing at
+# bound 6 for the canonical formulas and the 18 sign mutants, recorded while
+# base-chart module relations were rewrite rules of the completed system
+MODULE_GLUING_B6_DIGEST = "24c2f43873db62f72a2e81739cba9c890ea69a9e8830ede8ee3a8adbabf33e1c"
+
+
+def test_module_gluing_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    sweep = [atlas.CANONICAL] + [atlas.flip_sign(atlas.CANONICAL, s) for s in atlas.sign_sites()]
+    rows = 0
+    for formulas in sweep:
+        for r in verify.suite_module_gluing(bound=6, formulas=formulas):
+            row = [r.check_id, r.outcome, r.bound, r.witness, r.claim]
+            digest.update(json.dumps(row).encode() + b"\n")
+            rows += 1
+    assert rows == 19 * 60
+    assert digest.hexdigest() == MODULE_GLUING_B6_DIGEST
 
 
 def test_abelianization_inverted_set_goldens():
