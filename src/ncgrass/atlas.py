@@ -142,9 +142,9 @@ def eliminate_module_vars(lam: Chart, p: NcPoly) -> NcPoly:
 class AlgebraPresentation:
     """A localization of one chart algebra, as an explicit presentation.
 
-    definitions drive commutative evaluation: entries get assigned first, then
-    each (symbol, expr, as_inverse) in order sets symbol := eval(expr) or its
-    reciprocal. inverted lists the actual elements that were made invertible.
+    definitions drive commutative evaluation (`point`): entries get assigned
+    first, then each (symbol, expr, as_inverse) in order sets symbol :=
+    eval(expr) or its reciprocal. inverted lists the elements made invertible.
     """
 
     name: str
@@ -180,6 +180,16 @@ class AlgebraPresentation:
 
     def completed(self, bound: int) -> RewriteSystem:
         return _completed_system(self, bound)
+
+    def point(self, values: dict) -> dict:
+        """Extend `values`, an assignment of the generators no definition
+        sets, through the definitions in order and in place, and return it.
+        Raises ZeroDivisionError where an inverse definition's expr vanishes."""
+        f = self.field
+        for sid, expr, as_inv in self.definitions:
+            v = expr.evaluate(values)
+            values[sid] = f.inv(v) if as_inv else v
+        return values
 
     def names(self) -> dict:
         out = {sy.sym_name(s): s for s in self.generators}
@@ -576,7 +586,6 @@ class ChainOverlap:
     charts: tuple
     presentation: AlgebraPresentation
     homs: dict  # Chart -> Hom
-    known_inverses: list  # (element, inverse) pairs, both as presentation polys
 
     @property
     def field(self) -> Field:
@@ -586,12 +595,17 @@ class ChainOverlap:
         """An inverse of elt in the presentation, if one is structurally known.
 
         Single words invert letter by letter; other elements are matched
-        syntactically against the recorded invertible elements."""
+        syntactically against the images of the two quasi-determinants of
+        each disjoint pair in the chain, which are inverse to each other."""
         if len(elt.terms) == 1:
             return _word_inverse(elt, self._letter_inverse)
-        for known, inv in self.known_inverses:
-            if known == elt:
-                return inv
+        f = self.field
+        for a, b in combinations(self.charts, 2):
+            if overlap_type(a, b) == "disjoint":
+                ea = self.homs[a].apply(quasi_det_element(a, b, f))
+                eb = self.homs[b].apply(quasi_det_element(b, a, f))
+                if elt in (ea, eb):
+                    return eb if elt == ea else ea
         return None
 
     def _letter_inverse(self, s: int) -> NcPoly:
@@ -621,7 +635,6 @@ def overlap_chain(
     inv_rels: list[NcPoly] = []
     definitions: list[tuple] = []
     inverted: list[NcPoly] = []
-    known: list[tuple] = []
 
     ident = Hom(field, {e: NcPoly.gen(field, e) for e in gens})
     homs: dict = {base: ident}
@@ -638,7 +651,6 @@ def overlap_chain(
             inv_rels.extend(_inverse_pair_relations(field, spoly, partner))
             definitions.append((partner, spoly, True))
             inverted.append(spoly)
-            known.append((spoly, NcPoly.gen(field, partner)))
             return NcPoly.gen(field, partner)
         raise ValueError(f"cannot invert letter {sy.sym_name(s)} over chart {base}")
 
@@ -646,16 +658,12 @@ def overlap_chain(
         """Make u invertible over the base; return the expression standing for
         the formal symbol `label` (the hop-side inverse)."""
         if len(u.terms) == 1:
-            out = _word_inverse(u, letter_inverse)
-            known.append((u, out))
-            return out
+            return _word_inverse(u, letter_inverse)
         gens.append(label)
-        lab_poly = NcPoly.gen(field, label)
         inv_rels.extend(_inverse_pair_relations(field, u, label))
         definitions.append((label, u, True))
         inverted.append(u)
-        known.append((u, lab_poly))
-        return lab_poly
+        return NcPoly.gen(field, label)
 
     prev = base
     for nxt in charts[1:]:
@@ -682,7 +690,6 @@ def overlap_chain(
                 inv_rels.extend(_inverse_pair_relations(field, dpoly, dinv))
                 definitions.append((dinv, u, True))
                 inverted.append(u)
-                known.append((u, NcPoly.gen(field, dinv)))
                 phi_prev.mapping[dsym] = dpoly
                 phi_prev.mapping[dinv] = NcPoly.gen(field, dinv)
             else:
@@ -699,13 +706,11 @@ def overlap_chain(
             d2inv = sy.quasi_det_inverse(nxt, prev)
             far_det_img = phi_next.apply(quasi_det_element(nxt, prev, field))
             gens.append(d2inv)
-            wpoly = NcPoly.gen(field, d2inv)
             inv_rels.extend(_inverse_pair_relations(field, far_det_img, d2inv))
             definitions.append((d2inv, far_det_img, True))
             inverted.append(far_det_img)
-            known.append((far_det_img, wpoly))
             phi_next.mapping[sy.quasi_det(nxt, prev)] = far_det_img
-            phi_next.mapping[d2inv] = wpoly
+            phi_next.mapping[d2inv] = NcPoly.gen(field, d2inv)
             for rel in chart_relations(nxt, field):
                 comm.append(phi_next.apply(rel))
             for s, img in hop.from_base.mapping.items():
@@ -730,16 +735,7 @@ def overlap_chain(
         definitions=tuple(definitions),
         inverted=tuple(inverted),
     )
-    chain = ChainOverlap(charts, pres, homs, known)
-    # record quasi-determinant inverses for every disjoint pair in the chain:
-    # the far side's quasi-determinant maps to an inverse of the base one
-    for a, b in combinations(charts, 2):
-        if overlap_type(a, b) == "disjoint" and a in homs and b in homs:
-            ea = homs[a].apply(quasi_det_element(a, b, field))
-            eb = homs[b].apply(quasi_det_element(b, a, field))
-            chain.known_inverses.append((ea, eb))
-            chain.known_inverses.append((eb, ea))
-    return chain
+    return ChainOverlap(charts, pres, homs)
 
 
 def triple_ordering(charts) -> tuple:
@@ -792,7 +788,7 @@ class PosetIndex:
 @dataclass
 class Presheaf:
     field: Field
-    nodes: dict  # PosetIndex -> ChartNode | OverlapPair | ChainOverlap
+    nodes: dict  # PosetIndex -> AlgebraPresentation | OverlapPair | ChainOverlap
     restrictions: dict  # (source, target) -> Hom
 
     def presentation(self, idx: PosetIndex) -> AlgebraPresentation:
@@ -804,8 +800,8 @@ def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     """Restriction from a pair overlap into a chain overlap containing both
     charts, the one map from a pair's symbols into a chain. Chart entries go
     through the chain's own Homs, each of which maps only its own chart's
-    symbols; adjoined symbols resolve through the pair's definitions and the
-    chain's known invertibles."""
+    symbols; adjoined symbols resolve through the pair's definitions and
+    chain.inverse_of."""
     field = chain.field
     known = {**chain.homs[pair.lam].mapping, **chain.homs[pair.lam2].mapping}
     mapping = {g: known[g] for g in pair.presentation.generators if g in known}

@@ -100,14 +100,14 @@ _transition_cache = new_cache()
 
 
 def _transition_data(lam, lam2, q: int):
-    """The overlap's inverted elements and definitions, and the (entry, image)
-    pairs of lam2's entries in chart_entries order."""
+    """The overlap's presentation, and the (entry, image) pairs of lam2's
+    entries in chart_entries order."""
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
     if got is None:
         pair = pair_overlap(lam, lam2, GF(q))
         images = tuple((e, pair.to_base.mapping[e]) for e in chart_entries(lam2))
-        got = (pair.presentation.inverted, pair.presentation.definitions, images)
+        got = (pair.presentation, images)
         _transition_cache[key] = got
     return got
 
@@ -115,21 +115,18 @@ def _transition_data(lam, lam2, q: int):
 def transport(p: ChartPoint, lam2) -> ChartPoint | None:
     """The same subspace in the other chart's coordinates, computed through
     the transition formulas, or None when an inverted element of the overlap
-    vanishes at the point. Each inverted element is also the expression of an
-    inverse definition, so the inverted elements are evaluated only after a
-    division by zero."""
+    vanishes at the point. Each inverted element is the expression of an
+    inverse definition, so they are evaluated only after `pres.point`
+    divides by zero."""
     lam2 = tuple(sorted(lam2))
     if lam2 == p.chart:
         return p
-    field = GF(p.q)
-    inverted, definitions, images = _transition_data(p.chart, lam2, p.q)
+    pres, images = _transition_data(p.chart, lam2, p.q)
     values = p.values()
     try:
-        for sid, expr, as_inv in definitions:
-            v = expr.evaluate(values)
-            values[sid] = field.inv(v) if as_inv else v
+        pres.point(values)
     except ZeroDivisionError:
-        if any(field.is_zero(u.evaluate(values)) for u in inverted):
+        if any(pres.field.is_zero(u.evaluate(values)) for u in pres.inverted):
             return None
         raise PointGluingError(
             f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"

@@ -140,9 +140,10 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str):
     elements nonzero) where the witness evaluates to a nonzero value, or None
     after 100 samples.
 
-    Free generators and the witness's module variables get sampled values,
-    then the definitions are evaluated in order; each inverted element is the
-    expression of an inverse definition, so where one vanishes that divides by zero."""
+    Sampled free generators are extended by `pres.point`, which divides by
+    zero where an inverted element vanishes. A witness with no module
+    variable is tested before the relations (nothing is sampled after them);
+    the module variables of one are sampled once the relations hold."""
     field = pres.field
     rng = random.Random("ncgrass:" + seed)
     defined = {sid for sid, _, _ in pres.definitions}
@@ -151,12 +152,11 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str):
         (s for s in witness.symbols() if sy.is_module_var(s)), key=lambda s: sy.KEY[s]
     )
     for _ in range(100):
-        values = {g: _sample(field, rng) for g in free}
         try:
-            for sid, expr, as_inv in pres.definitions:
-                v = expr.evaluate(values)
-                values[sid] = field.inv(v) if as_inv else v
+            values = pres.point({g: _sample(field, rng) for g in free})
         except ZeroDivisionError:
+            continue
+        if not mvars and field.is_zero(witness.evaluate(values)):
             continue
         if any(not field.is_zero(r.evaluate(values)) for r in pres.relations):
             continue
@@ -599,14 +599,14 @@ def verify_functoriality(
     return entries
 
 
-def verify_points(qs=(2, 3, 5)) -> list[CheckResult]:
+def verify_points() -> list[CheckResult]:
     """Closed-point checks over small prime fields: the glued chart points
     biject with the 2-dimensional subspaces counted by the independent
     oracle, and chart-to-chart transport is involutive where defined."""
     from . import points as pts
 
     entries = []
-    for q in qs:
+    for q in (2, 3, 5):
         t0 = time.perf_counter()
         oracle = pts.subspace_oracle(q)
         cid = f"points:q{q}:count"
@@ -674,7 +674,6 @@ def run_all(
     bound: int = 10,
     field: Field = QQ,
     formulas: FormulaSet = CANONICAL,
-    include_points: bool = True,
 ) -> VerificationReport:
     """The full suite: substitution checks on every ordered adjacent pair,
     the disjoint-gluing identities in both directions, the cocycle condition
@@ -688,6 +687,5 @@ def run_all(
     entries += suite_module_gluing(bound=bound, field=field, formulas=formulas)
     entries += verify_abelianizations(field=field, formulas=formulas)
     entries += verify_functoriality(bound=bound, field=field, formulas=formulas)
-    if include_points:
-        entries += verify_points()
+    entries += verify_points()
     return VerificationReport(entries, bound, field.key)

@@ -1,7 +1,9 @@
 """Independent oracles that only the tests use: an exact linear-algebra
-dimension count, a brute-force enumeration of the chart relations, and the
-echelon matrices counted per pivot pattern. None of them touches the rewrite
-engine, so each gives ground truth for it."""
+dimension count, a brute-force enumeration of the chart relations, the
+echelon matrices counted per pivot pattern, and a reference point search.
+None of them touches the rewrite engine, so each gives ground truth for it."""
+
+import random
 
 from ncgrass import symbols as sy
 from ncgrass.atlas import outside, validate_chart
@@ -9,6 +11,7 @@ from ncgrass.fields import QQ, Field, check_same_field
 from ncgrass.points import echelon_matrices
 from ncgrass.poly import NcPoly, Word, commutator, order_key, poly_str, word_weight
 from ncgrass.rewrite import RewriteSystem, _rank
+from ncgrass.verify import _sample
 
 
 def words_of_weight(generators, weight: int) -> list[Word]:
@@ -96,3 +99,34 @@ def subspace_pattern_counts(q: int) -> dict:
         pivots = tuple(row.index(1) + 1 for row in m)
         counts[pivots] = counts.get(pivots, 0) + 1
     return counts
+
+
+def reference_certified_point(pres, witness, seed: str):
+    """The point search of verify._certified_point as it was written before
+    it evaluated through AlgebraPresentation.point and tested a witness with
+    no module variable before the relations: sample the free generators,
+    evaluate the definitions in order, require every relation to vanish,
+    then sample the witness's module variables and require a nonzero
+    witness. Returns the first such assignment of 100 samples, or None."""
+    field = pres.field
+    rng = random.Random("ncgrass:" + seed)
+    defined = {sid for sid, _, _ in pres.definitions}
+    free = [g for g in pres.generators if g not in defined]
+    mvars = sorted(
+        (s for s in witness.symbols() if sy.is_module_var(s)), key=lambda s: sy.KEY[s]
+    )
+    for _ in range(100):
+        values = {g: _sample(field, rng) for g in free}
+        try:
+            for sid, expr, as_inv in pres.definitions:
+                v = expr.evaluate(values)
+                values[sid] = field.inv(v) if as_inv else v
+        except ZeroDivisionError:
+            continue
+        if any(not field.is_zero(r.evaluate(values)) for r in pres.relations):
+            continue
+        for x in mvars:
+            values[x] = _sample(field, rng)
+        if not field.is_zero(witness.evaluate(values)):
+            return values
+    return None

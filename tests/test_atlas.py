@@ -1,5 +1,7 @@
 """Chart presentations, overlap localizations, chains, and the index poset."""
 
+import hashlib
+import json
 import random
 from itertools import combinations, permutations
 
@@ -197,9 +199,9 @@ def _every_presentation():
 
 
 def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
-    # so evaluating the definitions in order divides by zero wherever an
-    # inverted element vanishes: verify._certified_point tests no inverted
-    # element, and points.transport tests them only after such a division
+    # so AlgebraPresentation.point divides by zero wherever an inverted
+    # element vanishes: verify._certified_point tests no inverted element,
+    # and points.transport tests them only after such a division
     rng = random.Random(3)
     count = 0
     for pres in _every_presentation():
@@ -211,11 +213,10 @@ def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
         for _ in range(20):
             values = {g: rng.randint(-1, 1) for g in free}
             try:
-                for sid, expr, as_inv in pres.definitions:
-                    v = expr.evaluate(values)
-                    values[sid] = QQ.inv(v) if as_inv else v
+                assert pres.point(values) is values
             except ZeroDivisionError:
                 continue
+            assert set(values) == set(free) | set(sids)
             assert not any(QQ.is_zero(u.evaluate(values)) for u in pres.inverted)
         count += 1
     assert count == 156
@@ -236,6 +237,41 @@ def test_each_chain_hom_maps_only_its_own_charts_symbols():
             assert {sy.sym(s).chart for s in hom.mapping} == {c}
 
 
+def test_point_extends_an_assignment_through_the_definitions_in_order():
+    pair = atlas.pair_overlap((1, 2), (3, 4))
+    pres = pair.presentation
+    det = atlas.quasi_det_element((1, 2), (3, 4))
+    free = [g for g in pres.generators if g not in {sid for sid, _, _ in pres.definitions}]
+    assert free == list(atlas.chart_entries((1, 2)))
+    values = dict(zip(free, (2, 3, 5, 7)))
+    pres.point(values)
+    d = det.evaluate(values)
+    assert d == 2 * 7 - 3 * 5
+    assert values[sy.quasi_det((1, 2), (3, 4))] == d
+    assert values[sy.quasi_det_inverse((1, 2), (3, 4))] == QQ.inv(d)
+    # the far entries are defined from the base quasi-determinant's inverse
+    for e in atlas.chart_entries((3, 4)):
+        assert values[e] == pair.to_base.mapping[e].evaluate(values)
+    with pytest.raises(ZeroDivisionError):
+        pres.point(dict(zip(free, (1, 1, 1, 1))))
+
+
+# sha256 of the sorted (symbol, poly_str image) pairs of
+# pair_to_chain_hom(pair_overlap(t[0], t[2]), overlap_chain(t)), one JSON line
+# per ordered triple t in permutations order; recorded while every chain still
+# kept a list of its (element, inverse) pairs beside its definitions
+PAIR_TO_CHAIN_DIGEST = "3fa95656b150aff1e52c9de6702f0832ecf1cd9cc81fcdad362225c95cd717bb"
+
+
+def test_pair_to_chain_images_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for t in permutations(atlas.all_charts(), 3):
+        hom = atlas.pair_to_chain_hom(atlas.pair_overlap(t[0], t[2]), atlas.overlap_chain(t))
+        items = sorted((sy.sym_name(s), poly_str(img)) for s, img in hom.mapping.items())
+        digest.update(json.dumps(items).encode() + b"\n")
+    assert digest.hexdigest() == PAIR_TO_CHAIN_DIGEST
+
+
 def test_chain_knows_quasi_det_inverses():
     chain = atlas.overlap_chain(((1, 2), (2, 3), (3, 4)))
     det = atlas.quasi_det_element((1, 2), (3, 4))
@@ -245,6 +281,17 @@ def test_chain_knows_quasi_det_inverses():
     one = NcPoly.scalar(QQ, QQ.one)
     assert system.normal_form(det * inv - one).is_zero()
     assert system.normal_form(inv * det - one).is_zero()
+
+
+def test_chain_inverts_the_quasi_determinant_images_of_each_disjoint_pair():
+    for charts in permutations(atlas.all_charts(), 3):
+        chain = atlas.overlap_chain(charts)
+        for a, b in combinations(charts, 2):
+            if atlas.overlap_type(a, b) != "disjoint":
+                continue
+            ea = chain.homs[a].apply(atlas.quasi_det_element(a, b))
+            eb = chain.homs[b].apply(atlas.quasi_det_element(b, a))
+            assert chain.inverse_of(ea) == eb and chain.inverse_of(eb) == ea, charts
 
 
 def test_poset_index():

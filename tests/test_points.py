@@ -1,5 +1,6 @@
 """Closed points over small prime fields and the subspace-counting oracle."""
 
+import dataclasses
 from itertools import permutations
 
 import pytest
@@ -136,12 +137,16 @@ def test_transport_inside_the_overlap_that_divides_by_zero_is_an_error(monkeypat
     # an inverse definition whose expression vanishes while the inverted
     # element does not is a fault in the formulas, not a point off the overlap
     lam, lam2 = (1, 2), (1, 3)
-    inverted, definitions, images = points._transition_data(lam, lam2, 2)
-    sid, _, _ = definitions[0]
-    broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(definitions[1:])
-    monkeypatch.setitem(points._transition_cache, (lam, lam2, 2), (inverted, broken, images))
+    pres, images = points._transition_data(lam, lam2, 2)
+    sid, _, _ = pres.definitions[0]
+    broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(pres.definitions[1:])
+    monkeypatch.setitem(
+        points._transition_cache,
+        (lam, lam2, 2),
+        (dataclasses.replace(pres, definitions=broken), images),
+    )
     p = _point(lam, 2, (1, 1, 1, 1))
-    assert not any(GF(2).is_zero(u.evaluate(p.values())) for u in inverted)
+    assert not any(GF(2).is_zero(u.evaluate(p.values())) for u in pres.inverted)
     with pytest.raises(PointGluingError):
         transport(p, lam2)
 
@@ -193,10 +198,10 @@ def test_a_broken_transition_fails_both_point_checks(monkeypatch):
     # subspace, which the gluing check and the round trip must both see
     atlas.clear_caches()
     lam, lam2, q = (1, 2), (1, 3), 3
-    inverted, definitions, images = points._transition_data(lam, lam2, q)
+    pres, images = points._transition_data(lam, lam2, q)
     (e0, img0), (e1, img1) = images[:2]
     swapped = ((e0, img1), (e1, img0)) + tuple(images[2:])
-    monkeypatch.setitem(points._transition_cache, (lam, lam2, q), (inverted, definitions, swapped))
+    monkeypatch.setitem(points._transition_cache, (lam, lam2, q), (pres, swapped))
     try:
         with pytest.raises(PointGluingError):
             glued_points(q)

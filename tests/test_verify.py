@@ -7,8 +7,10 @@ from itertools import permutations
 import pytest
 
 from ncgrass import atlas, verify
+from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
 from ncgrass.verify import CheckResult, VerificationReport
+from oracles import reference_certified_point
 
 
 def test_ladder():
@@ -171,8 +173,8 @@ def test_functoriality_count():
 
 
 def test_points_suite():
-    entries = verify.verify_points(qs=(2, 3))
-    assert len(entries) == 4
+    entries = verify.verify_points()
+    assert len(entries) == 6
     assert all(r.verified for r in entries)
 
 
@@ -216,6 +218,60 @@ def test_failed_sign_check_notes_the_opposite_sign():
     assert a41.claim.endswith("; the opposite-sign variant reduces to zero instead")
 
 
+def _point_searches(monkeypatch, scenario):
+    """(presentation, witness, seed, returned point) of every
+    _certified_point call that scenario() makes."""
+    calls = []
+    search = verify._certified_point
+
+    def recorded(pres, witness, seed):
+        got = search(pres, witness, seed)
+        calls.append((pres, witness, seed, got))
+        return got
+
+    monkeypatch.setattr(verify, "_certified_point", recorded)
+    scenario()
+    monkeypatch.undo()
+    return calls
+
+
+def _module_gluing_mutant():
+    site = ("adjacent_to_base", ("a", 1, 3, 1), 0)
+    mutated = atlas.flip_sign(atlas.CANONICAL, site)
+    return verify.verify_module_gluing((1, 2), (2, 3), bound=6, formulas=mutated)
+
+
+def _lemma_mutant():
+    site = ("disjoint_to_base", ("a", 1, 4, 1), 0)
+    mutated = atlas.flip_sign(atlas.CANONICAL, site)
+    return verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 8, QQ, mutated)
+
+
+def _inconclusive_cocycle():
+    return verify.verify_cocycle((1, 2), (1, 3), (2, 4), bound=4)
+
+
+@pytest.mark.parametrize(
+    "scenario, module_vars, certified",
+    [
+        (_module_gluing_mutant, True, True),  # Failed, the witness holds x(2)
+        (_lemma_mutant, False, True),  # Failed, with the opposite-sign note
+        (_inconclusive_cocycle, False, False),  # Inconclusive at bound 4
+    ],
+)
+def test_point_search_returns_the_reference_search_point(
+    monkeypatch, scenario, module_vars, certified
+):
+    calls = _point_searches(monkeypatch, scenario)
+    assert calls
+    for pres, witness, seed, got in calls:
+        assert got == reference_certified_point(pres, witness, seed), seed
+    assert any(
+        any(sy.is_module_var(s) for s in witness.symbols()) for _, witness, _, _ in calls
+    ) == module_vars
+    assert any(got is not None for *_, got in calls) == certified
+
+
 def test_check_result_serialization():
     r = CheckResult("id:x", "claim text", "Verified", 4, None, 0.123)
     d = r.as_dict()
@@ -257,6 +313,6 @@ def test_run_all_composition():
     assert len(report.results) == 560
     assert report.status == 0
     # a starved bound may leave checks open but must never invent a failure
-    report = verify.run_all(bound=6, include_points=False)
-    assert len(report.results) == 554
+    report = verify.run_all(bound=6)
+    assert len(report.results) == 560
     assert not any(r.failed for r in report.results)
