@@ -120,18 +120,10 @@ def eliminate_module_vars(lam: Chart, p: NcPoly) -> NcPoly:
     universal module relation, that is by the sum over i in the chart of
     a(i,j) x(i). Every other symbol is left alone."""
     f = p.field
-    images = {
-        sy.module_var(j): NcPoly.gen(f, sy.module_var(j)) - rel
-        for j, rel in zip(outside(lam), universal_module_relations(lam, f))
-    }
-    out = NcPoly.zero(f)
-    for w, c in p.terms.items():
-        t = NcPoly.from_word(f, [s for s in w if s not in images], c)
-        for s in w:
-            if s in images:
-                t = t * images[s]
-        out = out + t
-    return out
+    images = {s: NcPoly.gen(f, s) for s in p.symbols() if not sy.is_module_var(s)}
+    for j, rel in zip(outside(lam), universal_module_relations(lam, f)):
+        images[sy.module_var(j)] = NcPoly.gen(f, sy.module_var(j)) - rel
+    return Hom(f, images).apply(p)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +204,8 @@ def new_cache() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo made by new_cache: completed systems, point
-    transition data and point transport tables."""
+    """Empty every memo made by new_cache: completed systems and point
+    transport tables."""
     for cache in _caches:
         cache.clear()
 

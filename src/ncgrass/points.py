@@ -99,65 +99,42 @@ def rref(mat, q: int) -> tuple:
 _transition_cache = new_cache()
 
 
-def _transition_data(lam, lam2, q: int):
-    """The overlap's presentation, and the (entry, image) pairs of lam2's
-    entries in chart_entries order."""
+def transport_table(lam, lam2, q: int) -> tuple:
+    """For each point of chart_points(lam, q), in order, the position in
+    chart_points(lam2, q) of the same subspace in lam2's coordinates, or None
+    off the overlap. The transition formulas are evaluated directly, and the
+    position reads lam2's entries in chart_entries order as base-q digits.
+    A point is off the overlap when an inverted element vanishes there; each
+    is the expression of an inverse definition, so they are evaluated only
+    after `pres.point` divides by zero, and a division with none of them
+    zero raises PointGluingError. Memoized, so each point is transported to
+    each chart once per q."""
+    lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
     if got is None:
         pair = pair_overlap(lam, lam2, GF(q))
-        images = tuple((e, pair.to_base.mapping[e]) for e in chart_entries(lam2))
-        got = (pair.presentation, images)
-        _transition_cache[key] = got
-    return got
-
-
-def transport(p: ChartPoint, lam2) -> ChartPoint | None:
-    """The same subspace in the other chart's coordinates, computed through
-    the transition formulas, or None when an inverted element of the overlap
-    vanishes at the point. Each inverted element is the expression of an
-    inverse definition, so they are evaluated only after `pres.point`
-    divides by zero."""
-    lam2 = tuple(sorted(lam2))
-    if lam2 == p.chart:
-        return p
-    pres, images = _transition_data(p.chart, lam2, p.q)
-    values = p.values()
-    try:
-        pres.point(values)
-    except ZeroDivisionError:
-        if any(pres.field.is_zero(u.evaluate(values)) for u in pres.inverted):
-            return None
-        raise PointGluingError(
-            f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
-        ) from None
-    return ChartPoint(lam2, p.q, tuple((e, img.evaluate(values)) for e, img in images))
-
-
-def _position(p: ChartPoint) -> int:
-    """The index of p in chart_points(p.chart, p.q): its values in assignment
-    order read as a base-q number, as `product` enumerates them."""
-    pos = 0
-    for _, v in p.assignment:
-        pos = pos * p.q + v
-    return pos
-
-
-_table_cache = new_cache()
-
-
-def transport_table(lam, lam2, q: int) -> tuple:
-    """For each point of chart_points(lam, q), in order, the position in
-    chart_points(lam2, q) of its transport to lam2, or None off the overlap.
-    Memoized, so each point is transported to each chart once per q."""
-    key = (lam, lam2, q)
-    got = _table_cache.get(key)
-    if got is None:
-        got = tuple(
-            None if moved is None else _position(moved)
-            for moved in (transport(p, lam2) for p in chart_points(lam, q))
-        )
-        _table_cache[key] = got
+        pres = pair.presentation
+        entries = chart_entries(lam)
+        images = [pair.to_base.mapping[e] for e in chart_entries(lam2)]
+        table = []
+        for vals in product(range(q), repeat=len(entries)):
+            values = dict(zip(entries, vals))
+            try:
+                pres.point(values)
+            except ZeroDivisionError:
+                if any(pres.field.is_zero(u.evaluate(values)) for u in pres.inverted):
+                    table.append(None)
+                    continue
+                p = ChartPoint(lam, q, tuple(zip(entries, vals)))
+                raise PointGluingError(
+                    f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
+                ) from None
+            pos = 0
+            for img in images:
+                pos = pos * q + img.evaluate(values)
+            table.append(pos)
+        got = _transition_cache[key] = tuple(table)
     return got
 
 

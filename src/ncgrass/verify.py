@@ -453,15 +453,6 @@ def verify_module_gluing(
     the base chart, reduce to zero modulo the overlap relations."""
     lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
     tag = _pair_tag(lam, lam2)
-    if lam == lam2:
-        return [
-            CheckResult(
-                f"module{tag}:identity",
-                "a chart glues with itself along the identity",
-                "Verified",
-                0,
-            )
-        ]
     pair = pair_overlap(lam, lam2, field, formulas)
     entries = []
     for j, rel in zip(outside(lam2), universal_module_relations(lam2, field)):

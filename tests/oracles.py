@@ -1,14 +1,15 @@
 """Independent oracles that only the tests use: an exact linear-algebra
 dimension count, a brute-force enumeration of the chart relations, the
-echelon matrices counted per pivot pattern, and a reference point search.
-None of them touches the rewrite engine, so each gives ground truth for it."""
+echelon matrices counted per pivot pattern, a reference point search and a
+reference point-by-point transport. None of them touches the rewrite
+engine, so each gives ground truth for it."""
 
 import random
 
 from ncgrass import symbols as sy
-from ncgrass.atlas import outside, validate_chart
-from ncgrass.fields import QQ, Field, check_same_field
-from ncgrass.points import echelon_matrices
+from ncgrass.atlas import chart_entries, outside, pair_overlap, validate_chart
+from ncgrass.fields import GF, QQ, Field, check_same_field
+from ncgrass.points import ChartPoint, PointGluingError, chart_points, echelon_matrices
 from ncgrass.poly import NcPoly, Word, commutator, order_key, poly_str, word_weight
 from ncgrass.rewrite import RewriteSystem, _rank
 from ncgrass.verify import _sample
@@ -130,3 +131,59 @@ def reference_certified_point(pres, witness, seed: str):
         if not field.is_zero(witness.evaluate(values)):
             return values
     return None
+
+
+_transition_cache: dict = {}
+
+
+def _transition_data(lam, lam2, q: int):
+    """The overlap's presentation, and the (entry, image) pairs of lam2's
+    entries in chart_entries order."""
+    key = (lam, lam2, q)
+    got = _transition_cache.get(key)
+    if got is None:
+        pair = pair_overlap(lam, lam2, GF(q))
+        images = tuple((e, pair.to_base.mapping[e]) for e in chart_entries(lam2))
+        got = (pair.presentation, images)
+        _transition_cache[key] = got
+    return got
+
+
+def transport(p: ChartPoint, lam2) -> ChartPoint | None:
+    """The transport of points.transport_table as it was written one point at
+    a time: the same subspace in the other chart's coordinates, computed
+    through the transition formulas, or None when an inverted element of the
+    overlap vanishes at the point. Each inverted element is the expression of
+    an inverse definition, so they are evaluated only after `pres.point`
+    divides by zero."""
+    lam2 = tuple(sorted(lam2))
+    if lam2 == p.chart:
+        return p
+    pres, images = _transition_data(p.chart, lam2, p.q)
+    values = p.values()
+    try:
+        pres.point(values)
+    except ZeroDivisionError:
+        if any(pres.field.is_zero(u.evaluate(values)) for u in pres.inverted):
+            return None
+        raise PointGluingError(
+            f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
+        ) from None
+    return ChartPoint(lam2, p.q, tuple((e, img.evaluate(values)) for e, img in images))
+
+
+def _position(p: ChartPoint) -> int:
+    """The index of p in chart_points(p.chart, p.q): its values in assignment
+    order read as a base-q number, as `product` enumerates them."""
+    pos = 0
+    for _, v in p.assignment:
+        pos = pos * p.q + v
+    return pos
+
+
+def reference_transport_table(lam, lam2, q: int) -> tuple:
+    """points.transport_table as it was built before it owned the transport:
+    each point of chart_points(lam, q) carried by `transport`, and the
+    result's position in chart_points(lam2, q)."""
+    moved = (transport(p, lam2) for p in chart_points(lam, q))
+    return tuple(None if m is None else _position(m) for m in moved)

@@ -201,7 +201,7 @@ def _every_presentation():
 def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
     # so AlgebraPresentation.point divides by zero wherever an inverted
     # element vanishes: verify._certified_point tests no inverted element,
-    # and points.transport tests them only after such a division
+    # and points.transport_table tests them only after such a division
     rng = random.Random(3)
     count = 0
     for pres in _every_presentation():

@@ -21,10 +21,9 @@ from ncgrass.points import (
     roundtrip_failures,
     rref,
     subspace_oracle,
-    transport,
     transport_table,
 )
-from oracles import subspace_pattern_counts
+from oracles import reference_transport_table, subspace_pattern_counts
 
 EXPECTED = {2: 35, 3: 130, 5: 806}
 
@@ -50,11 +49,18 @@ def test_points_are_read_by_position_in_chart_entries_order():
                 for i in lam
             )
             assert point_matrix(p) == by_symbol
+    # a table entry's base-q digits are the images of lam2's entries, read
+    # in chart_entries order
     for lam, lam2 in permutations(atlas.all_charts(), 2):
-        for p in chart_points(lam, 3):
-            moved = transport(p, lam2)
-            if moved is not None:
-                assert tuple(e for e, _ in moved.assignment) == atlas.chart_entries(lam2)
+        pair = atlas.pair_overlap(lam, lam2, GF(3))
+        targets = chart_points(lam2, 3)
+        for p, j in zip(chart_points(lam, 3), transport_table(lam, lam2, 3)):
+            if j is not None:
+                values = pair.presentation.point(p.values())
+                assert targets[j].assignment == tuple(
+                    (e, pair.to_base.mapping[e].evaluate(values))
+                    for e in atlas.chart_entries(lam2)
+                )
 
 
 def test_point_matrix_has_identity_in_chart_columns():
@@ -109,16 +115,17 @@ def _point(chart, q, vals):
 def test_in_overlap_and_transport_golden():
     # the subspace spanned by e1+e3 and e2+e4 lies in every chart
     p = _point((1, 2), 2, (1, 0, 0, 1))
-    far = transport(p, (3, 4))
-    assert far is not None
+    j = transport_table((1, 2), (3, 4), 2)[chart_points((1, 2), 2).index(p)]
+    assert j is not None
+    far = chart_points((3, 4), 2)[j]
     assert far.chart == (3, 4)
     assert rref(point_matrix(far), 2) == rref(point_matrix(p), 2)
 
 
 def test_transport_out_of_the_overlap_is_none():
     # the coordinate subspace spanned by e1, e2 misses chart (3,4) entirely
-    p = _point((1, 2), 2, (0, 0, 0, 0))
-    assert transport(p, (3, 4)) is None
+    assert chart_points((1, 2), 2)[0] == _point((1, 2), 2, (0, 0, 0, 0))
+    assert transport_table((1, 2), (3, 4), 2)[0] is None
 
 
 def test_transport_is_none_exactly_off_the_other_charts_minor():
@@ -127,28 +134,50 @@ def test_transport_is_none_exactly_off_the_other_charts_minor():
     for q in (2, 3):
         for lam, lam2 in permutations(atlas.all_charts(), 2):
             c1, c2 = lam2
-            for p in chart_points(lam, q):
+            for p, j in zip(chart_points(lam, q), transport_table(lam, lam2, q)):
                 m = point_matrix(p)
                 minor = m[0][c1 - 1] * m[1][c2 - 1] - m[0][c2 - 1] * m[1][c1 - 1]
-                assert (transport(p, lam2) is None) == (minor % q == 0), (p, lam2)
+                assert (j is None) == (minor % q == 0), (p, lam2)
+
+
+def _doctor_transition(monkeypatch, lam, lam2, q, doctor):
+    """Make transport_table(lam, lam2, q) rebuild its table from doctor(pair)
+    in place of pair_overlap's pair. Setting the cached entry to None forces
+    the rebuild, and monkeypatch puts the original entry back afterwards."""
+    real = points.pair_overlap
+
+    def doctored(a, b, field):
+        pair = real(a, b, field)
+        return doctor(pair) if (a, b) == (lam, lam2) else pair
+
+    monkeypatch.setattr(points, "pair_overlap", doctored)
+    monkeypatch.setitem(points._transition_cache, (lam, lam2, q), None)
 
 
 def test_transport_inside_the_overlap_that_divides_by_zero_is_an_error(monkeypatch):
     # an inverse definition whose expression vanishes while the inverted
     # element does not is a fault in the formulas, not a point off the overlap
     lam, lam2 = (1, 2), (1, 3)
-    pres, images = points._transition_data(lam, lam2, 2)
-    sid, _, _ = pres.definitions[0]
-    broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(pres.definitions[1:])
-    monkeypatch.setitem(
-        points._transition_cache,
-        (lam, lam2, 2),
-        (dataclasses.replace(pres, definitions=broken), images),
+    inside = transport_table(lam, lam2, 2)
+
+    def break_first_definition(pair):
+        pres = pair.presentation
+        sid, _, _ = pres.definitions[0]
+        broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(pres.definitions[1:])
+        return dataclasses.replace(
+            pair, presentation=dataclasses.replace(pres, definitions=broken)
+        )
+
+    _doctor_transition(monkeypatch, lam, lam2, 2, break_first_definition)
+    with pytest.raises(PointGluingError) as err:
+        transport_table(lam, lam2, 2)
+    assert str(err.value) == (
+        "point[a(1,2;1,3)=0, a(1,2;1,4)=0, a(1,2;2,3)=1, a(1,2;2,4)=0] lies in the "
+        "overlap with chart (1, 3), but a transition divides by zero"
     )
-    p = _point(lam, 2, (1, 1, 1, 1))
-    assert not any(GF(2).is_zero(u.evaluate(p.values())) for u in pres.inverted)
-    with pytest.raises(PointGluingError):
-        transport(p, lam2)
+    # the first point of the overlap in chart_points order is the one reported
+    first = next(i for i, j in enumerate(inside) if j is not None)
+    assert str(err.value).startswith(str(chart_points(lam, 2)[first]) + " ")
 
 
 def test_transport_roundtrip_is_clean():
@@ -170,60 +199,64 @@ def test_chart_point_str():
 
 
 def test_clear_caches_empties_the_transition_cache():
-    transport(chart_points((1, 2), 2)[0], (1, 3))
     transport_table((1, 2), (1, 3), 2)
     assert points._transition_cache
-    assert points._table_cache
     atlas.clear_caches()
     assert not points._transition_cache
-    assert not points._table_cache
 
 
 def test_transport_table_agrees_with_transport():
+    # the reference carries each point on its own, as a ChartPoint
     for q in (2, 3):
         for lam, lam2 in permutations(atlas.all_charts(), 2):
             table = transport_table(lam, lam2, q)
-            targets = chart_points(lam2, q)
-            pts = chart_points(lam, q)
-            assert len(table) == len(pts)
-            for p, entry in zip(pts, table):
-                moved = transport(p, lam2)
-                assert (entry is None) == (moved is None), (p, lam2)
-                if moved is not None:
-                    assert targets[entry] == moved, (p, lam2)
+            assert table == reference_transport_table(lam, lam2, q), (lam, lam2, q)
 
 
 def test_a_broken_transition_fails_both_point_checks(monkeypatch):
     # swapping two of lam2's images moves every overlap point to another
     # subspace, which the gluing check and the round trip must both see
-    atlas.clear_caches()
     lam, lam2, q = (1, 2), (1, 3), 3
-    pres, images = points._transition_data(lam, lam2, q)
-    (e0, img0), (e1, img1) = images[:2]
-    swapped = ((e0, img1), (e1, img0)) + tuple(images[2:])
-    monkeypatch.setitem(points._transition_cache, (lam, lam2, q), (pres, swapped))
-    try:
-        with pytest.raises(PointGluingError):
-            glued_points(q)
-        assert roundtrip_failures(q)
-    finally:
-        atlas.clear_caches()
+
+    def swap_first_two_images(pair):
+        e0, e1 = atlas.chart_entries(lam2)[:2]
+        mapping = dict(pair.to_base.mapping)
+        mapping[e0], mapping[e1] = mapping[e1], mapping[e0]
+        return dataclasses.replace(
+            pair, to_base=dataclasses.replace(pair.to_base, mapping=mapping)
+        )
+
+    _doctor_transition(monkeypatch, lam, lam2, q, swap_first_two_images)
+    with pytest.raises(PointGluingError) as err:
+        glued_points(q)
+    assert str(err.value) == (
+        "point[a(1,2;1,3)=0, a(1,2;1,4)=1, a(1,2;2,3)=1, a(1,2;2,4)=0] transported to "
+        "chart (1, 3) spans a different subspace"
+    )
+    assert roundtrip_failures(q)
 
 
 def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
     from ncgrass.verify import verify_points
 
-    calls = []
+    overlaps, evaluations = [], []
+    build, point = points.pair_overlap, atlas.AlgebraPresentation.point
 
-    def counted(p, lam2):
-        calls.append(None)
-        return transport(p, lam2)
+    def counted_build(lam, lam2, field):
+        overlaps.append(None)
+        return build(lam, lam2, field)
+
+    def counted_point(self, values):
+        evaluations.append(None)
+        return point(self, values)
 
     atlas.clear_caches()
-    monkeypatch.setattr(points, "transport", counted)
+    monkeypatch.setattr(points, "pair_overlap", counted_build)
+    monkeypatch.setattr(atlas.AlgebraPresentation, "point", counted_point)
     try:
         results = verify_points()
     finally:
         atlas.clear_caches()
     assert all(r.outcome == "Verified" for r in results)
-    assert len(calls) == 30 * (2**4 + 3**4 + 5**4) == 21660
+    assert len(overlaps) == 30 * 3 == 90
+    assert len(evaluations) == 30 * (2**4 + 3**4 + 5**4) == 21660

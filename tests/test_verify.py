@@ -108,11 +108,10 @@ def test_cocycle_triangle_triple():
     assert all(r.verified for r in entries)
 
 
-def test_module_gluing_identity_pair():
-    entries = verify.verify_module_gluing((1, 2), (1, 2))
-    assert len(entries) == 1
-    assert entries[0].verified
-    assert entries[0].check_id.endswith(":identity")
+def test_module_gluing_rejects_equal_charts():
+    # the suite only pairs distinct charts, so an equal pair is pair_overlap's error
+    with pytest.raises(ValueError, match="overlap of a chart with itself is the chart"):
+        verify.verify_module_gluing((1, 2), (1, 2))
 
 
 def test_module_gluing_disjoint_pair():
