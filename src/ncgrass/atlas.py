@@ -70,37 +70,15 @@ def overlap_type(lam, lam2) -> str:
 
 
 def chart_relations(lam, field: Field = QQ) -> list[NcPoly]:
-    """Defining relations of one chart algebra, monic, deduplicated.
-
-    Row relations: entries in one row commute pairwise. Quartet relations: for
-    rows i1 < i2 and columns j1 != j2, [a(i1,j1), a(i2,j2)] = [a(i1,j2), a(i2,j1)].
-    """
+    """Defining relations of one chart algebra, monic: for each row i, the
+    row commutator [a(i,j1), a(i,j2)]; then the quartet relation
+    [a(i1,j1), a(i2,j2)] - [a(i1,j2), a(i2,j1)], rows i1 < i2, columns j1 < j2."""
     lam = validate_chart(lam)
-    comp = outside(lam)
+    (i1, i2), (j1, j2) = lam, outside(lam)
     g = lambda i, j: NcPoly.gen(field, sy.entry(lam, i, j))
-    rels: list[NcPoly] = []
-    seen = set()
-    for i in lam:
-        for j1, j2 in combinations(comp, 2):
-            r = commutator(g(i, j1), g(i, j2)).monic()
-            key = poly_str(r)
-            if key not in seen:
-                seen.add(key)
-                rels.append(r)
-    for i1, i2 in combinations(lam, 2):
-        for j1 in comp:
-            for j2 in comp:
-                if j1 == j2:
-                    continue
-                r = commutator(g(i1, j1), g(i2, j2)) - commutator(g(i1, j2), g(i2, j1))
-                if r.is_zero():
-                    continue
-                r = r.monic()
-                key = poly_str(r)
-                if key not in seen:
-                    seen.add(key)
-                    rels.append(r)
-    return rels
+    rels = [commutator(g(i, j1), g(i, j2)) for i in lam]
+    rels.append(commutator(g(i1, j1), g(i2, j2)) - commutator(g(i1, j2), g(i2, j1)))
+    return [r.monic() for r in rels]
 
 
 def universal_module_relations(lam, field: Field = QQ) -> list[NcPoly]:
@@ -811,7 +789,7 @@ def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     return Hom(field, mapping)
 
 
-def build_presheaf(field: Field = QQ, formulas: FormulaSet = CANONICAL) -> Presheaf:
+def build_presheaf(field: Field = QQ) -> Presheaf:
     """All 6 maximal charts, 15 pairwise minima, and 20 triple minima, with
     restriction homomorphisms along every comparable pair."""
     charts = all_charts()
@@ -824,7 +802,7 @@ def build_presheaf(field: Field = QQ, formulas: FormulaSet = CANONICAL) -> Presh
     pairs: dict = {}
     for a, b in combinations(charts, 2):
         idx = PosetIndex.of(a, b)
-        ov = pair_overlap(a, b, field, formulas)  # base = lex-least member
+        ov = pair_overlap(a, b, field)  # base = lex-least member
         pairs[idx] = ov
         nodes[idx] = ov
         ident = Hom(
@@ -836,7 +814,7 @@ def build_presheaf(field: Field = QQ, formulas: FormulaSet = CANONICAL) -> Presh
 
     for combo in combinations(charts, 3):
         idx = PosetIndex.of(*combo)
-        chain = overlap_chain(triple_ordering(combo), field, formulas)
+        chain = overlap_chain(triple_ordering(combo), field)
         nodes[idx] = chain
         for c in combo:
             restrictions[(PosetIndex.of(c), idx)] = chain.homs[c]

@@ -154,7 +154,7 @@ class _Parser:
             self.skip_ws()
             mark = self.pos
             den = self.digits()
-            if den == 0:
+            if self.field.is_zero(self.field.coerce(den)):
                 raise ParseError(mark + 1)
         else:
             self.pos = save

@@ -223,24 +223,16 @@ def poly_str(p: NcPoly) -> str:
     f = p.field
     parts = []
     for idx, (w, c) in enumerate(p.sorted_terms()):
-        if idx == 0:
-            if not w:
-                parts.append(f.to_str(c))
-            elif c == f.one:
-                parts.append(word_str(w))
-            else:
-                parts.append(f"{f.to_str(c)}*{word_str(w)}")
-            continue
-        if _coeff_is_negative(f, c):
-            sep, cc = " - ", f.neg(c)
-        else:
-            sep, cc = " + ", c
+        if idx:
+            negative = _coeff_is_negative(f, c)
+            parts.append(" - " if negative else " + ")
+            c = f.neg(c) if negative else c
         if not w:
-            parts.append(sep + f.to_str(cc))
-        elif cc == f.one:
-            parts.append(sep + word_str(w))
+            parts.append(f.to_str(c))
+        elif c == f.one:
+            parts.append(word_str(w))
         else:
-            parts.append(sep + f"{f.to_str(cc)}*{word_str(w)}")
+            parts.append(f"{f.to_str(c)}*{word_str(w)}")
     return "".join(parts)
 
 

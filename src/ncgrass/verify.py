@@ -30,7 +30,7 @@ from .atlas import (
     all_charts,
     build_presheaf,
     chart_entries,
-    chart_presentation,
+    chart_relations,
     disjoint_sigma,
     eliminate_module_vars,
     outside,
@@ -299,7 +299,7 @@ def verify_adjacent_substitution(
     tb = pair.to_base
     tag = _pair_tag(lam, lam2)
     entries = []
-    for k, rel in enumerate(chart_presentation(lam2, field).commutation_relations, start=1):
+    for k, rel in enumerate(chart_relations(lam2, field), start=1):
         entries.append(
             _reduce_check(
                 pres,
@@ -394,37 +394,28 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
     return entries
 
 
-def verify_disjoint_lemma(
-    bound: int = 10, field: Field = QQ, formulas: FormulaSet = CANONICAL
-) -> list[CheckResult]:
+def verify_disjoint_lemma(bound: int = 10, field: Field = QQ) -> list[CheckResult]:
     """Both quasi-determinant products reduce to 1 in the chain through the
     middle chart, the four composite far images match their closed forms, and
     the four reverse formulas recover the base entries; then the same suite
     with the chain walked in the opposite direction."""
     forward = ((1, 2), (2, 3), (3, 4))
-    entries = _lemma_direction(forward, bound, field, formulas)
-    entries += _lemma_direction(tuple(reversed(forward)), bound, field, formulas)
+    entries = _lemma_direction(forward, bound, field, CANONICAL)
+    entries += _lemma_direction(tuple(reversed(forward)), bound, field, CANONICAL)
     return entries
 
 
-def verify_cocycle(
-    lam1,
-    lam2,
-    lam3,
-    bound: int = 10,
-    field: Field = QQ,
-    formulas: FormulaSet = CANONICAL,
-) -> list[CheckResult]:
+def verify_cocycle(lam1, lam2, lam3, bound: int = 10, field: Field = QQ) -> list[CheckResult]:
     """Composite-equals-direct on one chart triple: for every generator of the
     last chart, its image through the middle chart agrees with its single-hop
     image into the same chain presentation."""
     charts = tuple(tuple(sorted(c)) for c in (lam1, lam2, lam3))
     if len(set(charts)) != 3:
         raise ValueError("three distinct charts required")
-    chain = overlap_chain(charts, field, formulas)
+    chain = overlap_chain(charts, field)
     pres = chain.presentation
     base, far = chain.charts[0], chain.charts[-1]
-    pair = pair_overlap(base, far, field, formulas)
+    pair = pair_overlap(base, far, field)
     r = pair_to_chain_hom(pair, chain)
     tag = _chain_tag(chain.charts)
     entries = []
@@ -468,52 +459,25 @@ def verify_module_gluing(
     return entries
 
 
-def verify_abelianizations(
-    field: Field = QQ, formulas: FormulaSet = CANONICAL
-) -> list[CheckResult]:
+def verify_abelianizations(field: Field = QQ) -> list[CheckResult]:
     """Abelianized sanity of every presentation in the atlas: commutation
     relations vanish identically, the inverted elements reduce to the expected
     displays once units are cleared, and chart abelianizations have the
     dimensions of a polynomial ring in four variables."""
     entries = []
-    charts = all_charts()
-    nodes = []
-    for c in charts:
-        nodes.append(("chart", chart_presentation(c, field), (c,)))
-    for a, b in combinations(charts, 2):
-        nodes.append(("pair", pair_overlap(a, b, field, formulas).presentation, (a, b)))
-    for combo in combinations(charts, 3):
-        order = triple_ordering(combo)
-        nodes.append(("chain", overlap_chain(order, field, formulas).presentation, order))
-
-    for kind, pres, members in nodes:
+    ps = build_presheaf(field)
+    for idx in ps.nodes:
+        pres = ps.presentation(idx)
         t0 = time.perf_counter()
-        bad = next(
-            (r for r in pres.commutation_relations if not abelianize(r).is_zero()), None
-        )
+        ab_rels = [abelianize(r) for r in pres.commutation_relations]
+        bad = next((w for w in ab_rels if not w.is_zero()), None)
         cid = f"abelian:{pres.name}:relations"
         claim = f"every commutation relation of {pres.name} abelianizes to zero"
-        if bad is None:
-            entries.append(
-                CheckResult(cid, claim, "Verified", 0, None, time.perf_counter() - t0)
-            )
-        else:
-            w = abelianize(bad)
-            certified = _certified_point(pres, w, cid) is not None
-            entries.append(
-                CheckResult(
-                    cid,
-                    claim,
-                    "Failed" if certified else "Inconclusive(bound=0)",
-                    0,
-                    poly_str(w) if certified else None,
-                    time.perf_counter() - t0,
-                )
-            )
+        witness = None if bad is None else poly_str(bad)
+        entries.append(_decided(cid, claim, bad is None, witness, t0))
 
-        if kind == "chart":
+        if idx.is_maximal:
             t0 = time.perf_counter()
-            ab_rels = [abelianize(r) for r in pres.commutation_relations]
             dims = [
                 commutative_truncated_dimension(field, pres.generators, ab_rels, d)
                 for d in range(5)
@@ -530,9 +494,11 @@ def verify_abelianizations(
             continue
 
         t0 = time.perf_counter()
-        base = members[0]
+        base = pres.base_chart
         expected_set = set()
-        for c in members[1:]:
+        for c in idx.charts:
+            if c == base:
+                continue
             if overlap_type(base, c) == "adjacent":
                 expected_set.add(abelianize(NcPoly.gen(field, pivot_entry(base, c))).monic())
             else:
@@ -551,15 +517,11 @@ def verify_abelianizations(
     return entries
 
 
-def verify_functoriality(
-    bound: int = 10,
-    field: Field = QQ,
-    formulas: FormulaSet = CANONICAL,
-) -> list[CheckResult]:
+def verify_functoriality(bound: int = 10, field: Field = QQ) -> list[CheckResult]:
     """Restriction through an intermediate overlap equals direct restriction:
     chart into pair into triple against chart into triple, for every chart of
     every pair inside every triple."""
-    ps = build_presheaf(field, formulas)
+    ps = build_presheaf(field)
     entries = []
     triples = sorted(
         (idx for idx in ps.nodes if len(idx.charts) == 3), key=lambda idx: idx.charts
@@ -623,31 +585,22 @@ def verify_points() -> list[CheckResult]:
     return entries
 
 
-def suite_proposition(
-    bound: int = 10, field: Field = QQ, formulas: FormulaSet = CANONICAL
-) -> list[CheckResult]:
+def suite_proposition(bound: int = 10, field: Field = QQ) -> list[CheckResult]:
     """Substitution checks on every ordered adjacent chart pair."""
     entries: list[CheckResult] = []
     for a, b in permutations(all_charts(), 2):
         if overlap_type(a, b) == "adjacent":
-            entries += verify_adjacent_substitution(
-                a, b, bound=bound, field=field, formulas=formulas
-            )
+            entries += verify_adjacent_substitution(a, b, bound=bound, field=field)
     return entries
 
 
-def suite_cocycle(
-    bound: int = 10,
-    field: Field = QQ,
-    formulas: FormulaSet = CANONICAL,
-    triples=None,
-) -> list[CheckResult]:
+def suite_cocycle(bound: int = 10, field: Field = QQ, triples=None) -> list[CheckResult]:
     """Cocycle condition on all twenty chart triples, or on the given ones."""
     if triples is None:
         triples = [triple_ordering(c) for c in combinations(all_charts(), 3)]
     entries: list[CheckResult] = []
     for t in triples:
-        entries += verify_cocycle(*t, bound=bound, field=field, formulas=formulas)
+        entries += verify_cocycle(*t, bound=bound, field=field)
     return entries
 
 
@@ -661,22 +614,18 @@ def suite_module_gluing(
     return entries
 
 
-def run_all(
-    bound: int = 10,
-    field: Field = QQ,
-    formulas: FormulaSet = CANONICAL,
-) -> VerificationReport:
+def run_all(bound: int = 10, field: Field = QQ) -> VerificationReport:
     """The full suite: substitution checks on every ordered adjacent pair,
     the disjoint-gluing identities in both directions, the cocycle condition
     on all twenty chart triples, module gluing on every ordered pair,
     abelianized displays and dimensions, presheaf functoriality on every
     chart-pair-triple chain, and the closed-point counts."""
     entries: list[CheckResult] = []
-    entries += suite_proposition(bound=bound, field=field, formulas=formulas)
-    entries += verify_disjoint_lemma(bound=bound, field=field, formulas=formulas)
-    entries += suite_cocycle(bound=bound, field=field, formulas=formulas)
-    entries += suite_module_gluing(bound=bound, field=field, formulas=formulas)
-    entries += verify_abelianizations(field=field, formulas=formulas)
-    entries += verify_functoriality(bound=bound, field=field, formulas=formulas)
+    entries += suite_proposition(bound=bound, field=field)
+    entries += verify_disjoint_lemma(bound=bound, field=field)
+    entries += suite_cocycle(bound=bound, field=field)
+    entries += suite_module_gluing(bound=bound, field=field)
+    entries += verify_abelianizations(field=field)
+    entries += verify_functoriality(bound=bound, field=field)
     entries += verify_points()
     return VerificationReport(entries, bound, field.key)

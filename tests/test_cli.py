@@ -216,6 +216,10 @@ def test_normalform_errors(capsys):
     code, _, err = run_cli(capsys, "normalform", "x(1)", "-p", "R(1,2)")
     assert code == 3
     assert "does not belong" in err
+    code, _, err = run_cli(capsys, "normalform", "1/2", "--field", "q2")
+    assert code == 3
+    assert "syntax error at offset 3" in err
+    assert "Traceback" not in err
 
 
 def test_export_charts_schema(capsys):
@@ -296,6 +300,27 @@ def test_export_unknown_target_exits_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["export", "everything"])
     assert err.value.code == 3
+
+
+# sha256 of each export target's stdout, recorded before the chart relations
+# were written out and the presheaf lost its formulas parameter
+EXPORT_DIGESTS = {
+    ("charts", "rat"): "8965c854101db33f538be8c5a464d553d0e762750af290a85ab6b4ce6a94a322",
+    ("overlaps", "rat"): "cc159e6aad4bfcea27584b10688055111a82d01e150dcfc7a56ef90de34d4e9c",
+    ("transitions", "rat"): "fd96593f2fb797a96d99a69bd346509fd3028ee280cbc70145bb92a666db3651",
+    ("presheaf", "rat"): "edb75f5a7c9f71f4c4a3f8d704ea59a526f8488aaff4146ee1d9802e49c33a7f",
+    ("charts", "q3"): "c5008df24bc0029de4caaba1ec3c484c1606976bf942e1af835e85cb6f0696d3",
+    ("overlaps", "q3"): "406ee32413ed725d6132a0cc33c322601bd1bbbbb0da9c4f73b57e13fbd6dfc0",
+    ("transitions", "q3"): "a12875c99cf6283459053dd3c4ae482fb6b06a2ce5744b4c52d894d0b8daa4e2",
+    ("presheaf", "q3"): "910145d036a808b0a4db38d9663949f5d9059f2da635ccc726f1f4979785fe7a",
+}
+
+
+@pytest.mark.parametrize("target,field", sorted(EXPORT_DIGESTS))
+def test_export_matches_the_recorded_digest(capsys, target, field):
+    code, out, _ = run_cli(capsys, "export", target, "--field", field)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPORT_DIGESTS[target, field]
 
 
 def test_export_is_deterministic_across_processes():

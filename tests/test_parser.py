@@ -123,3 +123,7 @@ def test_finite_field_coefficients():
     p = parse_expr("7*a(1,2;1,3) + 1/2", pres)
     a13 = NcPoly.gen(GF(5), sy.entry((1, 2), 1, 3))
     assert p == a13.scale(2) + NcPoly.scalar(GF(5), 3)
+    # a denominator that vanishes in the field is a syntax error at its offset
+    with pytest.raises(ParseError) as err:
+        parse_expr("1/2", atlas.chart_presentation((1, 2), field=GF(2)))
+    assert err.value.offset == 3

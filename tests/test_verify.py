@@ -303,6 +303,9 @@ def test_verified_bound_is_the_first_sufficient_rung():
 def test_suites_over_a_finite_field():
     entries = verify.verify_adjacent_substitution((1, 2), (2, 3), bound=6, field=GF(5))
     assert all(r.verified for r in entries)
+    entries = verify.verify_abelianizations(GF(5))
+    assert len(entries) == 82
+    assert all(r.verified for r in entries)
 
 
 def test_run_all_composition():
