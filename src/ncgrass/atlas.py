@@ -124,7 +124,7 @@ class AlgebraPresentation:
     commutation_relations: tuple
     definition_relations: tuple = ()
     inverse_relations: tuple = ()
-    module_relations: tuple = ()
+    module_vars: tuple = ()  # x(1)..x(4), in a module presentation F(i,j)
     definitions: tuple = ()  # (sid, NcPoly expr, bool as_inverse)
     inverted: tuple = ()  # NcPoly elements
     _key: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
@@ -162,13 +162,7 @@ class AlgebraPresentation:
         return values
 
     def names(self) -> dict:
-        out = {sy.sym_name(s): s for s in self.generators}
-        for rel in self.module_relations:
-            for w in rel.terms:
-                for s in w:
-                    if sy.is_module_var(s):
-                        out[sy.sym_name(s)] = s
-        return out
+        return {sy.sym_name(s): s for s in self.generators + self.module_vars}
 
 
 _caches: list[dict] = []
@@ -182,8 +176,8 @@ def new_cache() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo made by new_cache: completed systems and point
-    transport tables."""
+    """Empty every memo made by new_cache: completed systems, presheaves and
+    point transport tables."""
     for cache in _caches:
         cache.clear()
 
@@ -213,7 +207,7 @@ def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> Alg
     lam = validate_chart(lam)
     gens = chart_entries(lam)
     rels = tuple(chart_relations(lam, field))
-    mods = tuple(universal_module_relations(lam, field)) if with_module else ()
+    mods = tuple(sy.module_var(k) for k in range(1, 5)) if with_module else ()
     name = ("F" if with_module else "R") + "(" + ",".join(map(str, lam)) + ")"
     return AlgebraPresentation(
         name=name,
@@ -221,7 +215,7 @@ def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> Alg
         base_chart=lam,
         generators=gens,
         commutation_relations=rels,
-        module_relations=mods,
+        module_vars=mods,
     )
 
 
@@ -408,10 +402,6 @@ class OverlapPair:
     from_base: Hom  # base symbols -> far-chart expressions
     sigma: dict
 
-    @property
-    def field(self) -> Field:
-        return self.presentation.field
-
 
 def _inverse_pair_relations(field: Field, elt: NcPoly, inv_sid: int) -> tuple:
     one = NcPoly.scalar(field, 1)
@@ -438,20 +428,10 @@ def adjacent_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
         definitions=((piv_inv, piv_poly, True),),
         inverted=(piv_poly,),
     )
-    to_base = Hom(
-        field,
-        {
-            **_materialize(formulas.group("adjacent_to_base"), sigma, lam, lam2, field),
-            **_materialize(ADJACENT_TO_BASE_EXTRA, sigma, lam, lam2, field),
-        },
-    )
-    from_base = Hom(
-        field,
-        {
-            **_materialize(formulas.group("adjacent_from_base"), sigma, lam, lam2, field),
-            **_materialize(ADJACENT_FROM_BASE_EXTRA, sigma, lam, lam2, field),
-        },
-    )
+    to_table = {**formulas.group("adjacent_to_base"), **ADJACENT_TO_BASE_EXTRA}
+    from_table = {**formulas.group("adjacent_from_base"), **ADJACENT_FROM_BASE_EXTRA}
+    to_base = Hom(field, _materialize(to_table, sigma, lam, lam2, field))
+    from_base = Hom(field, _materialize(from_table, sigma, lam, lam2, field))
     return OverlapPair(lam, lam2, "adjacent", pres, to_base, from_base, sigma)
 
 
@@ -609,19 +589,21 @@ def overlap_chain(
     ident = Hom(field, {e: NcPoly.gen(field, e) for e in gens})
     homs: dict = {base: ident}
 
+    def adjoin(label: int, u: NcPoly) -> NcPoly:
+        """Adjoin the generator `label` as a formal inverse of u."""
+        gens.append(label)
+        inv_rels.extend(_inverse_pair_relations(field, u, label))
+        definitions.append((label, u, True))
+        inverted.append(u)
+        return NcPoly.gen(field, label)
+
     def letter_inverse(s: int) -> NcPoly:
         """A known inverse of s, or a new adjoined inverse for a base entry."""
         inv = _known_letter_inverse(s, gens, definitions, field)
         if inv is not None:
             return inv
         if sy.sym(s).kind == sy.ENTRY and sy.sym(s).chart == base:
-            partner = sy.inverse_symbol(s)
-            gens.append(partner)
-            spoly = NcPoly.gen(field, s)
-            inv_rels.extend(_inverse_pair_relations(field, spoly, partner))
-            definitions.append((partner, spoly, True))
-            inverted.append(spoly)
-            return NcPoly.gen(field, partner)
+            return adjoin(sy.inverse_symbol(s), NcPoly.gen(field, s))
         raise ValueError(f"cannot invert letter {sy.sym_name(s)} over chart {base}")
 
     def adjoin_inverse(u: NcPoly, label: int) -> NcPoly:
@@ -629,11 +611,7 @@ def overlap_chain(
         the formal symbol `label` (the hop-side inverse)."""
         if len(u.terms) == 1:
             return _word_inverse(u, letter_inverse)
-        gens.append(label)
-        inv_rels.extend(_inverse_pair_relations(field, u, label))
-        definitions.append((label, u, True))
-        inverted.append(u)
-        return NcPoly.gen(field, label)
+        return adjoin(label, u)
 
     prev = base
     for nxt in charts[1:]:
@@ -675,12 +653,8 @@ def overlap_chain(
             # quasi-determinant's image
             d2inv = sy.quasi_det_inverse(nxt, prev)
             far_det_img = phi_next.apply(quasi_det_element(nxt, prev, field))
-            gens.append(d2inv)
-            inv_rels.extend(_inverse_pair_relations(field, far_det_img, d2inv))
-            definitions.append((d2inv, far_det_img, True))
-            inverted.append(far_det_img)
             phi_next.mapping[sy.quasi_det(nxt, prev)] = far_det_img
-            phi_next.mapping[d2inv] = NcPoly.gen(field, d2inv)
+            phi_next.mapping[d2inv] = adjoin(d2inv, far_det_img)
             for rel in chart_relations(nxt, field):
                 comm.append(phi_next.apply(rel))
             for s, img in hop.from_base.mapping.items():
@@ -757,13 +731,8 @@ class PosetIndex:
 
 @dataclass
 class Presheaf:
-    field: Field
-    nodes: dict  # PosetIndex -> AlgebraPresentation | OverlapPair | ChainOverlap
+    nodes: dict  # PosetIndex -> AlgebraPresentation
     restrictions: dict  # (source, target) -> Hom
-
-    def presentation(self, idx: PosetIndex) -> AlgebraPresentation:
-        node = self.nodes[idx]
-        return node if isinstance(node, AlgebraPresentation) else node.presentation
 
 
 def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
@@ -789,9 +758,16 @@ def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     return Hom(field, mapping)
 
 
+# field.key -> Presheaf
+_presheaf_cache = new_cache()
+
+
 def build_presheaf(field: Field = QQ) -> Presheaf:
     """All 6 maximal charts, 15 pairwise minima, and 20 triple minima, with
-    restriction homomorphisms along every comparable pair."""
+    restriction homomorphisms along every comparable pair. Built once per
+    field and kept until clear_caches."""
+    if field.key in _presheaf_cache:
+        return _presheaf_cache[field.key]
     charts = all_charts()
     nodes: dict = {}
     restrictions: dict = {}
@@ -804,7 +780,7 @@ def build_presheaf(field: Field = QQ) -> Presheaf:
         idx = PosetIndex.of(a, b)
         ov = pair_overlap(a, b, field)  # base = lex-least member
         pairs[idx] = ov
-        nodes[idx] = ov
+        nodes[idx] = ov.presentation
         ident = Hom(
             field,
             {e: NcPoly.gen(field, e) for e in ov.presentation.generators},
@@ -815,11 +791,12 @@ def build_presheaf(field: Field = QQ) -> Presheaf:
     for combo in combinations(charts, 3):
         idx = PosetIndex.of(*combo)
         chain = overlap_chain(triple_ordering(combo), field)
-        nodes[idx] = chain
+        nodes[idx] = chain.presentation
         for c in combo:
             restrictions[(PosetIndex.of(c), idx)] = chain.homs[c]
         for a, b in combinations(combo, 2):
             pidx = PosetIndex.of(a, b)
             restrictions[(pidx, idx)] = pair_to_chain_hom(pairs[pidx], chain)
 
-    return Presheaf(field, nodes, restrictions)
+    ps = _presheaf_cache[field.key] = Presheaf(nodes, restrictions)
+    return ps

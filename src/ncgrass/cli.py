@@ -48,10 +48,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _chart_name(lam) -> str:
-    return f"R({lam[0]},{lam[1]})"
-
-
 def _bound(args) -> int:
     if args.bound is not None:
         b = args.bound
@@ -94,20 +90,13 @@ def _presentation(name: str, field: Field):
             return atlas.chart_presentation(lam, field, with_module=m.group(1) == "F")
         except ValueError as e:
             raise UsageError(str(e)) from None
-    nums = r"(\d+),(\d+)"
-    m = re.fullmatch(rf"O\({nums}\|{nums}\)", name)
+    m = re.fullmatch(r"O\((\d+,\d+(?:\|\d+,\d+){1,2})\)", name)
     if m:
-        g = [int(x) for x in m.groups()]
+        charts = [tuple(map(int, c.split(","))) for c in m.group(1).split("|")]
         try:
-            return atlas.pair_overlap((g[0], g[1]), (g[2], g[3]), field).presentation
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    m = re.fullmatch(rf"O\({nums}\|{nums}\|{nums}\)", name)
-    if m:
-        g = [int(x) for x in m.groups()]
-        chain = ((g[0], g[1]), (g[2], g[3]), (g[4], g[5]))
-        try:
-            return atlas.overlap_chain(chain, field).presentation
+            if len(charts) == 2:
+                return atlas.pair_overlap(*charts, field).presentation
+            return atlas.overlap_chain(charts, field).presentation
         except ValueError as e:
             raise UsageError(str(e)) from None
     raise UsageError(
@@ -116,10 +105,13 @@ def _presentation(name: str, field: Field):
     )
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def _write_json(path: str, doc) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(_json_text(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +244,14 @@ def _export_doc(what: str, field: Field):
             ]
         }
     if what == "transitions":
+        name = lambda c: atlas.PosetIndex.of(c).name
         rows = []
         for a, b in permutations(charts, 2):
             pair = atlas.pair_overlap(a, b, field)
             images = {
                 sy.sym_name(g): poly_str(pair.to_base.mapping[g]) for g in atlas.chart_entries(b)
             }
-            rows.append({"source": _chart_name(a), "target": _chart_name(b), "images": images})
+            rows.append({"source": name(a), "target": name(b), "images": images})
         return {"transitions": rows}
     ps = atlas.build_presheaf(field)
     order = lambda ix: (len(ix.charts), ix.charts)
@@ -266,7 +259,7 @@ def _export_doc(what: str, field: Field):
         {
             "name": ix.name,
             "charts": [f"{c[0]},{c[1]}" for c in ix.charts],
-            "presentation": ps.presentation(ix).name,
+            "presentation": ps.nodes[ix].name,
         }
         for ix in sorted(ps.nodes, key=order)
     ]
@@ -286,8 +279,7 @@ def _export_doc(what: str, field: Field):
 def cmd_export(args) -> int:
     field = _field(args)
     doc = _export_doc(args.what, field)
-    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(_json_text(doc))
     if args.json:
         _write_json(args.json, doc)
     return 0

@@ -47,10 +47,10 @@ def test_chart_presentation_shape():
     assert pres.name == "R(1,2)"
     assert len(pres.generators) == 4
     assert len(pres.relations) == 3
-    assert pres.module_relations == ()
+    assert list(pres.names()) == [sy.sym_name(g) for g in pres.generators]
     with_mod = atlas.chart_presentation((1, 2), with_module=True)
     assert with_mod.name == "F(1,2)"
-    assert len(with_mod.module_relations) == 2
+    assert len(with_mod.names()) == 4 + 4
     names = with_mod.names()
     assert {"x(1)", "x(2)", "x(3)", "x(4)"} <= set(names)
     with pytest.raises(ValueError):
@@ -313,6 +313,15 @@ def test_build_presheaf_shape():
         assert set(src.charts) <= set(dst.charts)
 
 
+def test_presheaf_is_built_once_per_field():
+    ps = atlas.build_presheaf()
+    assert all(isinstance(n, atlas.AlgebraPresentation) for n in ps.nodes.values())
+    assert atlas.build_presheaf(QQ) is ps
+    assert atlas.build_presheaf(GF(3)) is not ps
+    atlas.clear_caches()
+    assert atlas.build_presheaf() is not ps
+
+
 def test_presentations_over_finite_fields():
     pres = atlas.chart_presentation((1, 2), field=GF(5))
     assert pres.field is GF(5)
@@ -335,3 +344,60 @@ def test_equal_presentations_share_one_key_and_one_completion():
     bare = atlas.chart_presentation((1, 2))
     assert bare.key() == key and bare != first
     assert bare.completed(4) is first.completed(4)
+
+
+def _pres_lines(pres):
+    rels = lambda ps: [poly_str(p) for p in ps]
+    return [
+        pres.name,
+        list(pres.base_chart),
+        [sy.sym_name(g) for g in pres.generators],
+        rels(pres.commutation_relations),
+        rels(pres.definition_relations),
+        rels(pres.inverse_relations),
+        [[sy.sym_name(s), poly_str(e), inv] for s, e, inv in pres.definitions],
+        rels(pres.inverted),
+        sorted(pres.names()),
+    ]
+
+
+def _hom_lines(hom):
+    return [[sy.sym_name(s), poly_str(img)] for s, img in hom.mapping.items()]
+
+
+def _atlas_fingerprint(field):
+    """Every chart, ordered pair overlap and ordered chain over `field`, with
+    each Hom's images in mapping order, and every pair-to-chain restriction
+    (or the ValueError it raises), one JSON line each."""
+    charts = atlas.all_charts()
+    for c in charts:
+        for with_module in (False, True):
+            yield _pres_lines(atlas.chart_presentation(c, field, with_module=with_module))
+    pairs = {}
+    for a, b in permutations(charts, 2):
+        pair = pairs[a, b] = atlas.pair_overlap(a, b, field)
+        yield [_pres_lines(pair.presentation), _hom_lines(pair.to_base), _hom_lines(pair.from_base)]
+    for t in permutations(charts, 3):
+        chain = atlas.overlap_chain(t, field)
+        yield [_pres_lines(chain.presentation)] + [
+            [list(c), _hom_lines(hom)] for c, hom in chain.homs.items()
+        ]
+        for a, b in permutations(t, 2):
+            try:
+                yield _hom_lines(atlas.pair_to_chain_hom(pairs[a, b], chain))
+            except ValueError as e:
+                yield str(e)
+
+
+# sha256 of _atlas_fingerprint over QQ, then GF(3); recorded before presheaf
+# nodes became presentations and chart presentations dropped their stored
+# module relations
+ATLAS_FINGERPRINT_DIGEST = "41958e91c782673ad80f4217fe302b667842acae39b9c07802e55f97de653d03"
+
+
+def test_every_atlas_construction_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    for field in (QQ, GF(3)):
+        for line in _atlas_fingerprint(field):
+            digest.update(json.dumps(line).encode() + b"\n")
+    assert digest.hexdigest() == ATLAS_FINGERPRINT_DIGEST

@@ -213,6 +213,21 @@ def test_normalform_errors(capsys):
     code, _, err = run_cli(capsys, "normalform", "x(1)", "-p", "Q(1,2)")
     assert code == 3
     assert "unknown presentation" in err
+    for name in ("O(1,2|3,4)", "O(1,2|2,3|3,4)"):
+        code, out, _ = run_cli(capsys, "normalform", "1", "-p", name, "--bound", "2")
+        assert (code, out) == (0, "1\n"), name
+    unknown = "unknown presentation name {!r}; use R(i,j), F(i,j), O(i,j|k,l), or O(i,j|k,l|m,n)"
+    for name, message in (
+        ("O(1,2)", unknown.format("O(1,2)")),
+        ("O(1,2|3,4", unknown.format("O(1,2|3,4")),
+        ("O(12|34)", unknown.format("O(12|34)")),
+        ("O(1,2|2,3|3,4|1,4)", unknown.format("O(1,2|2,3|3,4|1,4)")),
+        ("O(1,2|1,2)", "overlap of a chart with itself is the chart"),
+        ("O(1,2|2,3|2,3)", "chain needs at least two distinct charts"),
+        ("O(1,5|2,3)", "index out of range in chart (1, 5) for n=4"),
+    ):
+        code, _, err = run_cli(capsys, "normalform", "1", "-p", name)
+        assert (code, err) == (3, f"ncgrass: error: {message}\n"), name
     code, _, err = run_cli(capsys, "normalform", "x(1)", "-p", "R(1,2)")
     assert code == 3
     assert "does not belong" in err

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from ncgrass import atlas, points
+from ncgrass import atlas, points, verify
 from ncgrass import symbols as sy
 from ncgrass.fields import GF
 from ncgrass.poly import NcPoly
@@ -148,7 +148,7 @@ def _doctor_transition(monkeypatch, lam, lam2, q, doctor):
 
     def doctored(a, b, field):
         pair = real(a, b, field)
-        return doctor(pair) if (a, b) == (lam, lam2) else pair
+        return doctor(pair) if (a, b, field) == (lam, lam2, GF(q)) else pair
 
     monkeypatch.setattr(points, "pair_overlap", doctored)
     monkeypatch.setitem(points._transition_cache, (lam, lam2, q), None)
@@ -178,6 +178,31 @@ def test_transport_inside_the_overlap_that_divides_by_zero_is_an_error(monkeypat
     # the first point of the overlap in chart_points order is the one reported
     first = next(i for i, j in enumerate(inside) if j is not None)
     assert str(err.value).startswith(str(chart_points(lam, 2)[first]) + " ")
+
+
+def test_verify_points_fails_a_transition_that_divides_by_zero(monkeypatch):
+    # the failed table is never cached, so the round-trip check rebuilds it
+    # and meets the same error as the count check
+    def break_first_definition(pair):
+        pres = pair.presentation
+        sid, _, _ = pres.definitions[0]
+        broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(pres.definitions[1:])
+        return dataclasses.replace(
+            pair, presentation=dataclasses.replace(pres, definitions=broken)
+        )
+
+    _doctor_transition(monkeypatch, (1, 2), (1, 3), 2, break_first_definition)
+    message = (
+        "point[a(1,2;1,3)=0, a(1,2;1,4)=0, a(1,2;2,3)=1, a(1,2;2,4)=0] lies in the "
+        "overlap with chart (1, 3), but a transition divides by zero"
+    )
+    by_id = {r.check_id: r for r in verify.verify_points()}
+    assert len(by_id) == 6
+    for check in ("count", "roundtrip"):
+        r = by_id[f"points:q2:{check}"]
+        assert (r.outcome, r.witness) == ("Failed", message)
+        for q in (3, 5):
+            assert by_id[f"points:q{q}:{check}"].verified
 
 
 def test_transport_roundtrip_is_clean():

@@ -9,6 +9,7 @@ import pytest
 from ncgrass import atlas, verify
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
+from ncgrass.poly import poly_str
 from ncgrass.verify import CheckResult, VerificationReport
 from oracles import reference_certified_point
 
@@ -169,6 +170,20 @@ def test_functoriality_count():
     entries = verify.verify_functoriality(bound=8)
     assert len(entries) == 120
     assert all(r.verified for r in entries)
+
+
+def test_suites_leave_the_shared_presheaf_unchanged():
+    # build_presheaf gives every caller the same presheaf for a field, so no
+    # suite may change a restriction's images
+    ps = atlas.build_presheaf()
+    images = lambda: {
+        k: [(s, poly_str(v)) for s, v in hom.mapping.items()] for k, hom in ps.restrictions.items()
+    }
+    before = images()
+    verify.verify_abelianizations()
+    verify.verify_functoriality(bound=8)
+    assert atlas.build_presheaf() is ps
+    assert images() == before
 
 
 def test_points_suite():
