@@ -182,25 +182,69 @@ def clear_caches() -> None:
         cache.clear()
 
 
-# pres.key() -> {bound: completed system}
+# pres.key() -> {bound: completed system, or one paused by reduces_to_zero}
 _completion_cache = new_cache()
 
 
+def _completion_start(pres: AlgebraPresentation, by_bound: dict, bound: int) -> RewriteSystem:
+    """Where a completion of `pres` at `bound` starts, given its cached
+    systems by bound: the paused one at `bound`, else the largest completed
+    bound below, which gives the same rules as a run from scratch (see
+    rewrite.complete), else the relations. A paused system is never a start
+    at another bound."""
+    got = by_bound.get(bound)
+    if got is not None and got.pending is not None:
+        return got
+    below = [b for b, s in by_bound.items() if b < bound and s.completed_bound is not None]
+    if below:
+        return by_bound[max(below)]
+    return RewriteSystem(pres.field, pres.rewrite_rules())
+
+
 def _completed_system(pres: AlgebraPresentation, bound: int) -> RewriteSystem:
-    """The completion of `pres` at `bound`, memoized. A miss resumes from the
-    largest cached bound below `bound`, which gives the same rules as a run
-    from scratch (see rewrite.complete)."""
+    """The completion of `pres` at `bound`, memoized."""
     by_bound = _completion_cache.setdefault(pres.key(), {})
     got = by_bound.get(bound)
-    if got is None:
-        below = [b for b in by_bound if b < bound]
-        if below:
-            start = by_bound[max(below)]
-        else:
-            start = RewriteSystem(pres.field, pres.rewrite_rules())
-        got = complete(start, bound)
-        by_bound[bound] = got
+    if got is None or got.completed_bound is None:
+        got = by_bound[bound] = complete(_completion_start(pres, by_bound, bound), bound)
     return got
+
+
+def _occurs(u: tuple, p: NcPoly) -> bool:
+    """Whether the word u occurs in one of p's words."""
+    n = len(u)
+    return any(w[i : i + n] == u for w in p.terms for i in range(len(w) - n + 1))
+
+
+def reduces_to_zero(pres: AlgebraPresentation, elements, bound: int) -> bool:
+    """Whether every element reduces to zero modulo the completion of `pres`
+    at `bound`, or modulo a prefix of its rules: each rule lies in the ideal,
+    so either proves every element lies in it. The completion pauses as soon
+    as every element is zero and is kept paused under `bound`, where the next
+    call resumes it. Each element's residue is re-reduced only when a new
+    rule's lhs occurs in one of its words, since it is irreducible by the
+    rules before. A collapsed system reduces everything to zero. False means
+    the completion at `bound` ran to the end with a residue left."""
+    by_bound = _completion_cache.setdefault(pres.key(), {})
+    got = by_bound.get(bound)
+    if got is not None and got.completed_bound is not None:
+        return all(got.normal_form(e).is_zero() for e in elements)
+    start = _completion_start(pres, by_bound, bound)
+    residues = [p for p in map(start.normal_form, elements) if not p.is_zero()]
+    seen = len(start.rules)
+
+    def until(s: RewriteSystem) -> bool:
+        nonlocal residues, seen
+        for r in s.rules[seen:]:
+            residues = [s.normal_form(p) if _occurs(r.lhs, p) else p for p in residues]
+        seen = len(s.rules)
+        residues = [p for p in residues if not p.is_zero()]
+        return not residues
+
+    if not residues:
+        return True
+    got = by_bound[bound] = complete(start, bound, until)
+    return got.pending is not None or got.collapsed
 
 
 def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> AlgebraPresentation:

@@ -185,8 +185,7 @@ def cmd_normalform(args) -> int:
     try:
         p = exprparse.parse_expr(args.expr, pres)
     except exprparse.ExprError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        raise UsageError(str(e)) from None
     p = atlas.eliminate_module_vars(pres.base_chart, p)
     out = poly_str(pres.completed(bound).normal_form(p))
     print(out)

@@ -14,7 +14,8 @@ its superposition follows from the two lhs weights without building anything;
 only the superpositions under the bound get a polynomial, made by
 concatenating words. Completing a system already completed at a lower bound
 resumes it and gives exactly the rules of a run from the original rules (the
-argument is in complete).
+argument is in complete). A completion can also pause after any new rule and
+be resumed later at the same bound.
 """
 
 from __future__ import annotations
@@ -82,18 +83,22 @@ class RewriteSystem:
         # _END to the lowest index of a rule whose lhs ends there
         self._trie: dict = {}
         self._nf_cache: dict[Word, dict] = {}
+        # a paused completion (see complete): (the rest of the run, its bound)
+        self.pending: tuple | None = None
         for r in rules or []:
             self.add_rule(r)
 
     def add_rule(self, rule: RewriteRule) -> None:
         """Append a rule. The system is no longer known to be complete, so it
-        is never resumed from (see complete)."""
+        is never resumed from (see complete), and a paused run of it is
+        dropped."""
         node = self._trie
         for s in rule.lhs:
             node = node.setdefault(s, {})
         node.setdefault(_END, len(self.rules))
         self.rules.append(rule)
         self.completed_bound = None
+        self.pending = None
         self._nf_cache.clear()
 
     def copy(self) -> "RewriteSystem":
@@ -217,7 +222,7 @@ def _superposition_difference(r1: RewriteRule, r2: RewriteRule, key: int, field:
     return NcPoly(field, acc)
 
 
-def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
+def complete(system: RewriteSystem, bound: int, until=None) -> RewriteSystem:
     """Truncated completion: resolve all ambiguities with superposition weight
     at most `bound`, iterating to a fixpoint. Deterministic: tasks are handled
     in order of (superposition weight, rule pair, key), and each surviving
@@ -256,9 +261,37 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
     collapsed system stays collapsed, since the replay stops where it did. A
     system completed at c >= `bound` comes back as a copy, still at c.
     add_rule clears completed_bound, so a system given extra rules after its
-    completion is completed from scratch with those rules as its base."""
-    lo = system.completed_bound if system.completed_bound is not None else -1
-    s = system.copy()
+    completion is completed from scratch with those rules as its base.
+
+    `until`, if given, is called with the growing system once before the
+    run's first new rule and then after each new rule. At the first True
+    the run pauses: the partial system comes back with completed_bound None
+    and the rest of the run on its `pending` slot. complete(partial, bound)
+    resumes it in place and calls its own `until`, if any, after each
+    further rule; resuming at another bound raises ValueError. The rules so
+    far are a prefix of the rules the whole run gives, so a paused run
+    drained later gives the same system. add_rule and copy drop `pending`."""
+    if system.pending is not None:
+        run, at = system.pending
+        if at != bound:
+            raise ValueError(f"a completion paused at bound {at} cannot resume at bound {bound}")
+        system.pending = None
+    else:
+        lo = system.completed_bound if system.completed_bound is not None else -1
+        run = _completion(system.copy(), lo, bound)
+    s = system  # a resumed run may end without yielding again
+    for s in run:
+        if until is not None and until(s):
+            s.pending = (run, bound)
+            break
+    return s
+
+
+def _completion(s: RewriteSystem, lo: int, bound: int):
+    """The run of complete on s, a copy it owns: yields s once before its
+    first new rule and then after each new rule, and marks s completed at
+    the end."""
+    yield s
     f = s.field
     rules = s.rules
     weight = sy.WEIGHT
@@ -324,8 +357,8 @@ def complete(system: RewriteSystem, bound: int) -> RewriteSystem:
             break
         s.add_rule(orient(h))
         enter(len(rules) - 1, -1)
+        yield s
     s.completed_bound = max(bound, lo)
-    return s
 
 
 # the commutative dimension oracle (no rewriting involved)

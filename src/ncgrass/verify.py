@@ -11,6 +11,10 @@ satisfied). Without such a point the check stays Inconclusive at its bound.
 Bounds escalate through 4, 6, 8, ... up to the requested bound; a Verified
 result records the first rung at which everything reduced to zero, so raising
 the bound can only turn Inconclusive into Verified, never the reverse.
+Verified may be decided part way through a rung: every rule completion adds
+is the normal form of a superposition difference and lies in the ideal, so
+reducing an element to zero with any prefix of a rung's rules proves it is
+in the ideal. Only Failed and Inconclusive need the complete rung.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .atlas import (
     pair_to_chain_hom,
     pivot_entry,
     quasi_det_element,
+    reduces_to_zero,
     triple_ordering,
     universal_module_relations,
 )
@@ -178,15 +183,23 @@ def _reduce_check(
     """Reduce every element to zero, escalating the completion bound. Failure
     requires a certified nonzero witness; otherwise the check is Inconclusive.
 
+    At each rung the completion runs only until every element reduces to
+    zero (atlas.reduces_to_zero): the rules so far lie in the ideal, so that
+    is proof, and the rung is Verified. A rung that runs to the end is
+    complete, and its normal forms decide every other outcome.
+
     alt is the opposite-sign variant of a single element whose displayed sign
-    is in doubt. The claim then records how alt fares at the deciding rung;
-    the displayed sign is never silently replaced."""
+    is in doubt. The claim then records how alt fares at the deciding rung,
+    read off the complete rung, so such a check completes each rung it
+    reaches; the displayed sign is never silently replaced."""
     t0 = time.perf_counter()
     elements = list(elements)
     if all(e.is_zero() for e in elements):
         return CheckResult(check_id, claim, "Verified", 0, None, time.perf_counter() - t0)
     nonzero = None
     for b in _ladder(bound):
+        if alt is None and reduces_to_zero(pres, elements, b):
+            return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
         system = pres.completed(b)
         nfs = [system.normal_form(e) for e in elements]
         nonzero = next((nf for nf in nfs if not nf.is_zero()), None)

@@ -2,9 +2,12 @@
 dimension count, a brute-force enumeration of the chart relations, the
 echelon matrices counted per pivot pattern, a reference point search and a
 reference point-by-point transport. None of them touches the rewrite
-engine, so each gives ground truth for it."""
+engine, so each gives ground truth for it. The eager bound ladder does use
+the engine: it is the reference for deciding Verified part way through a
+rung."""
 
 import random
+import time
 
 from ncgrass import symbols as sy
 from ncgrass.atlas import chart_entries, outside, pair_overlap, validate_chart
@@ -12,7 +15,7 @@ from ncgrass.fields import GF, QQ, Field, check_same_field
 from ncgrass.points import ChartPoint, PointGluingError, chart_points, echelon_matrices
 from ncgrass.poly import NcPoly, Word, commutator, order_key, poly_str, word_weight
 from ncgrass.rewrite import RewriteSystem, _rank
-from ncgrass.verify import _sample
+from ncgrass.verify import CheckResult, _certified_point, _ladder, _sample
 
 
 def words_of_weight(generators, weight: int) -> list[Word]:
@@ -187,3 +190,38 @@ def reference_transport_table(lam, lam2, q: int) -> tuple:
     result's position in chart_points(lam2, q)."""
     moved = (transport(p, lam2) for p in chart_points(lam, q))
     return tuple(None if m is None else _position(m) for m in moved)
+
+
+def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> CheckResult:
+    """verify._reduce_check as it was written before it asked
+    atlas.reduces_to_zero: each rung of the ladder is completed in full
+    before any element is reduced."""
+    t0 = time.perf_counter()
+    elements = list(elements)
+    if all(e.is_zero() for e in elements):
+        return CheckResult(check_id, claim, "Verified", 0, None, time.perf_counter() - t0)
+    nonzero = None
+    for b in _ladder(bound):
+        system = pres.completed(b)
+        nfs = [system.normal_form(e) for e in elements]
+        nonzero = next((nf for nf in nfs if not nf.is_zero()), None)
+        if nonzero is None:
+            if alt is not None:
+                alt_nf = system.normal_form(alt)
+                if alt_nf.is_zero():
+                    claim += "; both signs reduce to zero"
+                elif _certified_point(pres, alt_nf, check_id + ":alt") is not None:
+                    claim += "; the displayed sign verifies and the opposite sign is nonzero at a sampled point"
+                else:
+                    claim += "; the displayed sign verifies"
+            return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
+    if alt is not None and system.normal_form(alt).is_zero():
+        claim += "; the opposite-sign variant reduces to zero instead"
+    point = _certified_point(pres, nonzero, check_id)
+    if point is not None:
+        return CheckResult(
+            check_id, claim, "Failed", bound, poly_str(nonzero), time.perf_counter() - t0
+        )
+    return CheckResult(
+        check_id, claim, f"Inconclusive(bound={bound})", bound, None, time.perf_counter() - t0
+    )

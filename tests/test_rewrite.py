@@ -350,6 +350,91 @@ def test_a_collapsed_system_stays_collapsed_when_resumed():
     assert _rule_list_digest(resumed) == _rule_list_digest(complete(base, 6))
 
 
+def test_a_completion_paused_after_every_rule_resumes_to_the_same_rules():
+    system = complete(_chain_base(), 12, until=lambda s: True)
+    sizes = [len(system.rules)]
+    while system.pending is not None:
+        assert system.completed_bound is None
+        system = complete(system, 12, until=lambda s: True)
+        sizes.append(len(system.rules))
+    assert system.completed_bound == 12
+    # one pause before the first new rule and one after each new rule
+    assert sizes == list(range(sizes[0], 370)) + [369]
+    assert _rule_list_digest(system) == CHAIN_B12_DIGEST
+
+
+def _pause_the_chain_part_way(pres, bound):
+    """Leave the chain's completion at `bound` paused in the cache: rule 50
+    of a run from scratch, as an element, reduces to zero by the time that
+    rule is added, before the run ends."""
+    rule = complete(_chain_base(), bound).rules[50]
+    assert atlas.reduces_to_zero(pres, [NcPoly.from_word(QQ, rule.lhs) - rule.rhs], bound)
+    paused = atlas._completion_cache[pres.key()][bound]
+    assert paused.pending is not None and paused.completed_bound is None
+    return paused
+
+
+def test_a_paused_completion_is_resumed_at_its_bound_and_never_a_start():
+    atlas.clear_caches()
+    pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
+    paused = _pause_the_chain_part_way(pres, 8)
+    assert len(paused.rules) <= 51
+    # bound 12 starts from the relations, not from the paused rung 8
+    assert _rule_list_digest(pres.completed(12)) == CHAIN_B12_DIGEST
+    assert atlas._completion_cache[pres.key()][8] is paused
+    # bound 8 resumes the paused run in place
+    assert pres.completed(8) is paused
+    assert paused.pending is None and paused.completed_bound == 8
+    assert _rule_list_digest(paused) == CHAIN_B8_DIGEST
+    atlas.clear_caches()
+
+
+def test_a_paused_completion_resumes_only_at_its_bound():
+    paused = complete(_chain_base(), 8, until=lambda s: len(s.rules) > 20)
+    assert len(paused.rules) == 21
+    with pytest.raises(ValueError):
+        complete(paused, 10)
+    assert paused.pending is not None
+    assert _rule_list_digest(complete(paused, 8)) == CHAIN_B8_DIGEST
+
+
+def test_add_rule_drops_a_paused_run():
+    paused = complete(_chain_base(), 8, until=lambda s: len(s.rules) > 20)
+    assert paused.copy().pending is None
+    extra = complete(_chain_base(), 8).rules[21]
+    paused.add_rule(extra)
+    assert paused.pending is None and paused.completed_bound is None
+    # completed from scratch, with the 22 rules as its base
+    got = complete(paused, 8)
+    assert got is not paused and got.rules[:22] == paused.rules
+
+
+def test_clear_caches_leaves_no_paused_completion():
+    atlas.clear_caches()
+    pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
+    first = _pause_the_chain_part_way(pres, 8)
+    atlas.clear_caches()
+    assert atlas._completion_cache == {}
+    # the next pause comes from a fresh run, at the same rule
+    again = _pause_the_chain_part_way(pres, 8)
+    assert again is not first and len(again.rules) == len(first.rules)
+    atlas.clear_caches()
+
+
+def test_reduces_to_zero_runs_the_rung_to_the_end_on_a_nonmember():
+    atlas.clear_caches()
+    pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
+    a = NcPoly.gen(QQ, pres.generators[0])
+    assert not atlas.reduces_to_zero(pres, [NcPoly.scalar(QQ, 0), a], 6)
+    complete6 = atlas._completion_cache[pres.key()][6]
+    assert complete6.pending is None and complete6.completed_bound == 6
+    assert len(complete6.rules) == 28
+    # a complete rung is read, not resumed
+    assert not atlas.reduces_to_zero(pres, [a], 6)
+    assert pres.completed(6) is complete6
+    atlas.clear_caches()
+
+
 def test_disjoint_pair_rules_at_bound_8():
     pres = atlas.pair_overlap((1, 2), (3, 4)).presentation
     system = complete(RewriteSystem(QQ, pres.rewrite_rules()), 8)

@@ -2,7 +2,8 @@
 
 import hashlib
 import json
-from itertools import permutations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,9 @@ from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
 from ncgrass.poly import poly_str
 from ncgrass.verify import CheckResult, VerificationReport
-from oracles import reference_certified_point
+from oracles import eager_reduce_check, reference_certified_point
+
+VERIFY_ALL_B10 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify_all_b10.json"
 
 
 def test_ladder():
@@ -333,3 +336,60 @@ def test_run_all_composition():
     report = verify.run_all(bound=6)
     assert len(report.results) == 560
     assert not any(r.failed for r in report.results)
+
+
+def _rows(entries):
+    return [(r.check_id, r.outcome, r.bound, r.witness, r.claim) for r in entries]
+
+
+def _eager_and_lazy_rows(monkeypatch, run):
+    """The rows of run() with the eager ladder, then with verify's own, each
+    from cold caches."""
+    atlas.clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_reduce_check", eager_reduce_check)
+        eager = _rows(run())
+    atlas.clear_caches()
+    lazy = _rows(run())
+    atlas.clear_caches()
+    return eager, lazy
+
+
+def test_lazy_ladder_gives_the_eager_rows_on_the_sign_mutants(monkeypatch):
+    # the targeted suites of the mutation sweep at bound 12: Failed and
+    # Inconclusive checks read the complete top rung
+    def run():
+        entries = []
+        for site in atlas.sign_sites():
+            mutated = atlas.flip_sign(atlas.CANONICAL, site)
+            entries += verify.verify_adjacent_substitution((1, 2), (2, 3), 12, formulas=mutated)
+            entries += verify.verify_adjacent_substitution((2, 3), (1, 2), 12, formulas=mutated)
+            entries += verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 12, QQ, mutated)
+        return entries
+
+    eager, lazy = _eager_and_lazy_rows(monkeypatch, run)
+    assert len(eager) == 468
+    assert lazy == eager
+    assert {row[1] for row in eager} == {"Verified", "Failed", "Inconclusive(bound=12)"}
+
+
+def test_lazy_ladder_gives_the_eager_rows_with_the_suites_reversed(monkeypatch):
+    # run_all's completing suites in reverse order, the cocycle triples too,
+    # so that rungs paused by one check are resumed by checks of other suites
+    triples = [atlas.triple_ordering(c) for c in combinations(atlas.all_charts(), 3)]
+
+    def run():
+        entries = verify.verify_functoriality(bound=10)
+        entries += verify.suite_module_gluing(bound=10)
+        entries += verify.suite_cocycle(bound=10, triples=triples[::-1])
+        entries += verify.verify_disjoint_lemma(bound=10)
+        entries += verify.suite_proposition(bound=10)
+        return entries
+
+    eager, lazy = _eager_and_lazy_rows(monkeypatch, run)
+    assert len(eager) == 472
+    assert lazy == eager
+    # and both are the rows of the recorded bound-10 report
+    known = json.loads(VERIFY_ALL_B10.read_text("utf-8"))["checks"]
+    recorded = {c["id"]: (c["id"], c["outcome"], c["bound"], c["witness"], c["claim"]) for c in known}
+    assert all(recorded[row[0]] == row for row in lazy)
