@@ -164,10 +164,17 @@ def cmd_verify(args) -> int:
             print(f"{r.outcome:<22} {r.check_id}")
             if r.failed and r.witness:
                 print(f"{'':<22} witness: {r.witness}")
+    # the summary names only what ran; the JSON header keeps bound and field
+    if args.selector == "points":
+        scope = "fields " + ", ".join(f"q{q}" for q in verify.POINT_QS)
+    elif args.selector in UNBOUNDED_SELECTORS:
+        scope = f"field {field.key}"
+    else:
+        scope = f"bound {bound}, field {field.key}"
     c = report.counts()
     print(
         f"checked {c['total']}: {c['verified']} verified, {c['failed']} failed, "
-        f"{c['inconclusive']} inconclusive (bound {bound}, field {field.key})"
+        f"{c['inconclusive']} inconclusive ({scope})"
     )
     if args.json:
         _write_json(args.json, report.as_dict())

@@ -2,13 +2,15 @@
 
 A chart point is an assignment of field values to the four chart entries.
 Evaluation is commutative, so transport between charts evaluates the
-transition formulas directly. Each point spans a 2-dimensional subspace of
-F_q^4 (the chart matrix: identity in the chart columns, entries elsewhere),
-and the canonical representative of a glued point is the reduced row-echelon
-form of that matrix. Every chart point is transported to every other chart
-once per q: `transport_table` keeps where each one lands as a position in the
-other chart's point list, and the gluing and round-trip checks both read
-those tables. An independent oracle enumerates the echelon matrices
+transition formulas directly, in plain ints mod q: each transition is
+compiled once into a straight-line Python function (`_compile`). Each point
+spans a 2-dimensional subspace of F_q^4 (the chart matrix: identity in the
+chart columns, entries elsewhere), and the canonical representative of a
+glued point is the reduced row-echelon form of that matrix, also computed
+in ints. Every chart point is transported to every other chart once per q:
+`transport_table` keeps where each one lands as a position in the other
+chart's point list, and the gluing and round-trip checks both read those
+tables. An independent oracle enumerates the echelon matrices
 directly, without any chart or transition machinery, so the glued count has
 ground truth to match.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import symbols as sy
-from .atlas import all_charts, chart_entries, new_cache, pair_overlap
+from .atlas import all_charts, chart_entries, new_cache, outside, pair_overlap
 from .fields import GF
 
 QMAX = 7  # enumeration stays desk-scale up to here
@@ -54,46 +56,97 @@ def chart_points(lam, q: int) -> list[ChartPoint]:
     return out
 
 
+def chart_matrix(lam, vals) -> tuple:
+    """The 2x4 matrix whose rows span a point's subspace: identity in the
+    chart columns, `vals` (the chart entries in chart_entries order)
+    elsewhere."""
+    vals, cols = iter(vals), outside(lam)
+    rows = []
+    for i in lam:
+        row = [0, 0, 0, 0]
+        row[i - 1] = 1
+        for c in cols:
+            row[c - 1] = next(vals)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def point_matrix(p: ChartPoint) -> tuple:
-    """The 2x4 matrix whose rows span the point's subspace: identity in the
-    chart columns, the assigned entries elsewhere, read in assignment order."""
-    vals = iter(v for _, v in p.assignment)
-    return tuple(
-        tuple((1 if c == i else 0) if c in p.chart else next(vals) for c in range(1, 5))
-        for i in p.chart
-    )
+    """The chart matrix of a point, read in assignment order."""
+    return chart_matrix(p.chart, (v for _, v in p.assignment))
 
 
 def rref(mat, q: int) -> tuple:
-    """Reduced row-echelon form over F_q, zero rows dropped."""
-    field = GF(q)
-    rows = [list(r) for r in mat]
-    ncols = len(rows[0])
+    """Reduced row-echelon form over F_q, zero rows dropped. The entries are
+    reduced mod q and the arithmetic is on plain ints."""
+    rows = [[v % q for v in r] for r in mat]
+    n = len(rows)
     pivot_row = 0
-    for col in range(ncols):
-        src = next(
-            (r for r in range(pivot_row, len(rows)) if not field.is_zero(rows[r][col])),
-            None,
-        )
-        if src is None:
+    for col in range(len(rows[0])):
+        for src in range(pivot_row, n):
+            if rows[src][col]:
+                break
+        else:
             continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        rows[pivot_row] = [field.mul(inv, v) for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and not field.is_zero(rows[r][col]):
-                c = rows[r][col]
-                rows[r] = [
-                    field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[pivot_row])
-                ]
+        pivot = rows[src]
+        rows[src] = rows[pivot_row]
+        if pivot[col] != 1:
+            inv = pow(pivot[col], -1, q)
+            pivot = [inv * v % q for v in pivot]
+        rows[pivot_row] = pivot
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != pivot_row:
+                rows[r] = [(v - c * w) % q for v, w in zip(row, pivot)]
         pivot_row += 1
-        if pivot_row == len(rows):
+        if pivot_row == n:
             break
-    return tuple(tuple(r) for r in rows[:pivot_row])
+    return tuple(map(tuple, rows[:pivot_row]))
 
 
 # ---------------------------------------------------------------------------
 # transport along the transition formulas
+
+
+def _compile(pres, free, outputs, q: int):
+    """One Python function for a transition over F_q. It takes the values of
+    `free` (the generators no definition sets) and returns the base-q
+    position of the `outputs` polynomials' values, or None off the overlap.
+
+    The body guards on each element of `pres.inverted` (all polynomials in
+    `free`, else KeyError here), then assigns each definition in order,
+    inverses read from a table for q, and an inverse of zero raises
+    ZeroDivisionError. Guarding first matches dividing first, since every
+    inverted element is the expression of an inverse definition. The source
+    holds only slot numbers and coefficients reduced mod q."""
+    slot = {g: k for k, g in enumerate(free)}
+
+    def expr(poly) -> str:
+        terms = []
+        for word, c in poly.terms.items():
+            factors = [f"v{slot[s]}" for s in word]
+            if c % q != 1 or not factors:
+                factors.insert(0, str(c % q))
+            terms.append("*".join(factors))
+        return " + ".join(terms) or "0"
+
+    args = ", ".join(f"v{k}" for k in range(len(free)))
+    body = [f"if not ({expr(u)}) % {q}: return None" for u in pres.inverted]
+    for sid, poly, as_inv in pres.definitions:
+        k = slot[sid] = len(slot)
+        body.append(f"v{k} = ({expr(poly)}) % {q}")
+        if as_inv:
+            body.append(f"if not v{k}: raise ZeroDivisionError")
+            body.append(f"v{k} = inv[v{k}]")
+    pos = None
+    for out in outputs:
+        digit = f"({expr(out)}) % {q}"
+        pos = digit if pos is None else f"({pos})*{q} + {digit}"
+    body.append(f"return {pos}")
+    source = f"def move({args}):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"inv": (0,) + tuple(pow(x, -1, q) for x in range(1, q))}
+    exec(source, namespace)
+    return namespace["move"]
 
 
 _transition_cache = new_cache()
@@ -102,38 +155,29 @@ _transition_cache = new_cache()
 def transport_table(lam, lam2, q: int) -> tuple:
     """For each point of chart_points(lam, q), in order, the position in
     chart_points(lam2, q) of the same subspace in lam2's coordinates, or None
-    off the overlap. The transition formulas are evaluated directly, and the
-    position reads lam2's entries in chart_entries order as base-q digits.
-    A point is off the overlap when an inverted element vanishes there; each
-    is the expression of an inverse definition, so they are evaluated only
-    after `pres.point` divides by zero, and a division with none of them
-    zero raises PointGluingError. Memoized, so each point is transported to
-    each chart once per q."""
+    off the overlap. The transition formulas are compiled once per table
+    into straight-line code on ints mod q (`_compile`), which reads lam2's
+    entries in chart_entries order as base-q digits. A point is off the
+    overlap when an inverted element vanishes there; a division by zero with
+    none of them zero raises PointGluingError. Memoized, so each point is
+    transported to each chart once per q."""
     lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
     if got is None:
         pair = pair_overlap(lam, lam2, GF(q))
-        pres = pair.presentation
         entries = chart_entries(lam)
         images = [pair.to_base.mapping[e] for e in chart_entries(lam2)]
+        move = _compile(pair.presentation, entries, images, q)
         table = []
-        for vals in product(range(q), repeat=len(entries)):
-            values = dict(zip(entries, vals))
-            try:
-                pres.point(values)
-            except ZeroDivisionError:
-                if any(pres.field.is_zero(u.evaluate(values)) for u in pres.inverted):
-                    table.append(None)
-                    continue
-                p = ChartPoint(lam, q, tuple(zip(entries, vals)))
-                raise PointGluingError(
-                    f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
-                ) from None
-            pos = 0
-            for img in images:
-                pos = pos * q + img.evaluate(values)
-            table.append(pos)
+        try:
+            for vals in product(range(q), repeat=len(entries)):
+                table.append(move(*vals))
+        except ZeroDivisionError:
+            p = ChartPoint(lam, q, tuple(zip(entries, vals)))
+            raise PointGluingError(
+                f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
+            ) from None
         got = _transition_cache[key] = tuple(table)
     return got
 
@@ -149,12 +193,13 @@ def glued_points(q: int) -> set:
     form is computed once, and its transport is read from transport_table."""
     if q > QMAX:
         raise ValueError(f"q={q} exceeds the enumeration cap {QMAX}")
+    GF(q)  # validates primality
     charts = all_charts()
     distinct: dict = {}  # each representative kept once, however many charts hold it
     reps: dict = {lam: [] for lam in charts}
     for lam in charts:
-        for p in chart_points(lam, q):
-            rep = rref(point_matrix(p), q)
+        for vals in product(range(q), repeat=4):
+            rep = rref(chart_matrix(lam, vals), q)
             reps[lam].append(distinct.setdefault(rep, rep))
     for lam in charts:
         others = [
@@ -185,20 +230,20 @@ def roundtrip_failures(q: int) -> list:
     charts = all_charts()
     bad = []
     for lam in charts:
-        pts = chart_points(lam, q)
+        pts = None  # the chart's points, listed only to name a failure
         for lam2 in charts:
             if lam2 == lam:
                 continue
             forth, back = transport_table(lam, lam2, q), transport_table(lam2, lam, q)
-            for i, p in enumerate(pts):
-                j = forth[i]
-                if j is None:
+            for i, j in enumerate(forth):
+                if j is None or back[j] == i:
                     continue
+                pts = pts or chart_points(lam, q)
                 k = back[j]
                 if k is None:
-                    bad.append(f"{p} left the reverse overlap with {lam}")
-                elif k != i:
-                    bad.append(f"{p} came back as {pts[k]}")
+                    bad.append(f"{pts[i]} left the reverse overlap with {lam}")
+                else:
+                    bad.append(f"{pts[i]} came back as {pts[k]}")
     return bad
 
 

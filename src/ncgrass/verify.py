@@ -563,6 +563,9 @@ def verify_functoriality(bound: int = 10, field: Field = QQ) -> list[CheckResult
     return entries
 
 
+POINT_QS = (2, 3, 5)  # the prime fields the point checks count over
+
+
 def verify_points() -> list[CheckResult]:
     """Closed-point checks over small prime fields: the glued chart points
     biject with the 2-dimensional subspaces counted by the independent
@@ -570,7 +573,7 @@ def verify_points() -> list[CheckResult]:
     from . import points as pts
 
     entries = []
-    for q in (2, 3, 5):
+    for q in POINT_QS:
         t0 = time.perf_counter()
         oracle = pts.subspace_oracle(q)
         cid = f"points:q{q}:count"

@@ -1,10 +1,10 @@
 """Independent oracles that only the tests use: an exact linear-algebra
 dimension count, a brute-force enumeration of the chart relations, the
-echelon matrices counted per pivot pattern, a reference point search and a
-reference point-by-point transport. None of them touches the rewrite
-engine, so each gives ground truth for it. The eager bound ladder does use
-the engine: it is the reference for deciding Verified part way through a
-rung."""
+echelon matrices counted per pivot pattern, a reference point search, a
+reference point-by-point transport and a reference row reduction through
+Field calls. None of them touches the rewrite engine, so each gives ground
+truth for it. The eager bound ladder does use the engine: it is the
+reference for deciding Verified part way through a rung."""
 
 import random
 import time
@@ -182,6 +182,35 @@ def _position(p: ChartPoint) -> int:
     for _, v in p.assignment:
         pos = pos * p.q + v
     return pos
+
+
+def reference_rref(mat, q: int) -> tuple:
+    """points.rref as it was written with Field calls: reduced row-echelon
+    form over GF(q), zero rows dropped."""
+    field = GF(q)
+    rows = [list(r) for r in mat]
+    ncols = len(rows[0])
+    pivot_row = 0
+    for col in range(ncols):
+        src = next(
+            (r for r in range(pivot_row, len(rows)) if not field.is_zero(rows[r][col])),
+            None,
+        )
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        inv = field.inv(rows[pivot_row][col])
+        rows[pivot_row] = [field.mul(inv, v) for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and not field.is_zero(rows[r][col]):
+                c = rows[r][col]
+                rows[r] = [
+                    field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[pivot_row])
+                ]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return tuple(tuple(r) for r in rows[:pivot_row])
 
 
 def reference_transport_table(lam, lam2, q: int) -> tuple:

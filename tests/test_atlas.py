@@ -201,7 +201,8 @@ def _every_presentation():
 def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
     # so AlgebraPresentation.point divides by zero wherever an inverted
     # element vanishes: verify._certified_point tests no inverted element,
-    # and points.transport_table tests them only after such a division
+    # and the functions points._compile builds test them before the
+    # definitions, which then divide by zero only on a fault in the formulas
     rng = random.Random(3)
     count = 0
     for pres in _every_presentation():

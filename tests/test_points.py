@@ -23,7 +23,7 @@ from ncgrass.points import (
     subspace_oracle,
     transport_table,
 )
-from oracles import reference_transport_table, subspace_pattern_counts
+from oracles import reference_rref, reference_transport_table, subspace_pattern_counts
 
 EXPECTED = {2: 35, 3: 130, 5: 806}
 
@@ -70,6 +70,26 @@ def test_point_matrix_has_identity_in_chart_columns():
     assert [row[2] for row in mat] == [0, 1]
 
 
+def test_rref_agrees_with_the_field_reference():
+    # every chart matrix of the point checks, then rank-1 matrices and
+    # matrices with zero rows, entries given outside [0, q)
+    for q in (2, 3, 5):
+        for lam in atlas.all_charts():
+            for p in chart_points(lam, q):
+                mat = point_matrix(p)
+                assert rref(mat, q) == reference_rref(mat, q), (mat, q)
+        for mat in (
+            ((0, 2, 1, 4),),
+            ((0, 2, 1, 4), (0, 4, 2, 8)),
+            ((0, 0, 0, 0), (3, 1, 0, -1)),
+            ((0, 0, 0, 0), (0, 0, 0, 0)),
+            ((q, 0, 0, 0),),
+        ):
+            assert rref(mat, q) == reference_rref(mat, q), (mat, q)
+    assert rref(((0, 2, 1, 4), (0, 4, 2, 8)), 5) == ((0, 1, 3, 2),)
+    assert rref(((0, 0, 0, 0), (0, 0, 0, 0)), 3) == ()
+
+
 def test_rref_is_idempotent():
     mat = ((1, 2, 0, 1), (2, 1, 1, 0))
     r = rref(mat, 3)
@@ -91,7 +111,7 @@ def test_count_for_q7_within_the_cap():
 
 
 def test_glued_representatives_equal_the_echelon_forms():
-    for q in (2, 3):
+    for q in (2, 3, 5):
         reps = glued_points(q)
         echelons = {tuple(tuple(row) for row in m) for m in echelon_matrices(q)}
         assert reps == echelons
@@ -180,6 +200,26 @@ def test_transport_inside_the_overlap_that_divides_by_zero_is_an_error(monkeypat
     assert str(err.value).startswith(str(chart_points(lam, 2)[first]) + " ")
 
 
+def test_inverted_elements_tell_points_off_the_overlap_from_faults(monkeypatch):
+    # without its inverted elements the pair has no guard, so a point off the
+    # overlap divides by zero inside the formulas and is reported as a fault
+    lam, lam2 = (1, 2), (1, 3)
+    off = transport_table(lam, lam2, 2).index(None)
+
+    def drop_inverted(pair):
+        return dataclasses.replace(
+            pair, presentation=dataclasses.replace(pair.presentation, inverted=())
+        )
+
+    _doctor_transition(monkeypatch, lam, lam2, 2, drop_inverted)
+    with pytest.raises(PointGluingError) as err:
+        transport_table(lam, lam2, 2)
+    assert str(err.value) == (
+        f"{chart_points(lam, 2)[off]} lies in the overlap with chart (1, 3), "
+        "but a transition divides by zero"
+    )
+
+
 def test_verify_points_fails_a_transition_that_divides_by_zero(monkeypatch):
     # the failed table is never cached, so the round-trip check rebuilds it
     # and meets the same error as the count check
@@ -232,7 +272,7 @@ def test_clear_caches_empties_the_transition_cache():
 
 def test_transport_table_agrees_with_transport():
     # the reference carries each point on its own, as a ChartPoint
-    for q in (2, 3):
+    for q in (2, 3, 5):
         for lam, lam2 in permutations(atlas.all_charts(), 2):
             table = transport_table(lam, lam2, q)
             assert table == reference_transport_table(lam, lam2, q), (lam, lam2, q)
@@ -264,24 +304,30 @@ def test_a_broken_transition_fails_both_point_checks(monkeypatch):
 def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
     from ncgrass.verify import verify_points
 
-    overlaps, evaluations = [], []
-    build, point = points.pair_overlap, atlas.AlgebraPresentation.point
+    overlaps, compiles, evaluations = [], [], []
+    build, compile_ = points.pair_overlap, points._compile
 
     def counted_build(lam, lam2, field):
         overlaps.append(None)
         return build(lam, lam2, field)
 
-    def counted_point(self, values):
-        evaluations.append(None)
-        return point(self, values)
+    def counted_compile(pres, free, outputs, q):
+        compiles.append(None)
+        move = compile_(pres, free, outputs, q)
+
+        def counted_move(*vals):
+            evaluations.append(None)
+            return move(*vals)
+
+        return counted_move
 
     atlas.clear_caches()
     monkeypatch.setattr(points, "pair_overlap", counted_build)
-    monkeypatch.setattr(atlas.AlgebraPresentation, "point", counted_point)
+    monkeypatch.setattr(points, "_compile", counted_compile)
     try:
         results = verify_points()
     finally:
         atlas.clear_caches()
     assert all(r.outcome == "Verified" for r in results)
-    assert len(overlaps) == 30 * 3 == 90
+    assert len(overlaps) == len(compiles) == 30 * 3 == 90
     assert len(evaluations) == 30 * (2**4 + 3**4 + 5**4) == 21660
