@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import symbols as sy
-from .fields import QQ, Field
+from .fields import QQ, Field, PrimeField
 from .poly import Hom, NcPoly, commutator, poly_str
 from .rewrite import RewriteRule, RewriteSystem, complete, orient
 
@@ -112,9 +112,10 @@ def eliminate_module_vars(lam: Chart, p: NcPoly) -> NcPoly:
 class AlgebraPresentation:
     """A localization of one chart algebra, as an explicit presentation.
 
-    definitions drive commutative evaluation (`point`): entries get assigned
-    first, then each (symbol, expr, as_inverse) in order sets symbol :=
-    eval(expr) or its reciprocal. inverted lists the elements made invertible.
+    definitions drive commutative evaluation (`evaluator`): entries get
+    assigned first, then each (symbol, expr, as_inverse) in order sets
+    symbol := eval(expr) or its reciprocal. inverted lists the elements made
+    invertible.
     """
 
     name: str
@@ -151,15 +152,59 @@ class AlgebraPresentation:
     def completed(self, bound: int) -> RewriteSystem:
         return _completed_system(self, bound)
 
-    def point(self, values: dict) -> dict:
-        """Extend `values`, an assignment of the generators no definition
-        sets, through the definitions in order and in place, and return it.
-        Raises ZeroDivisionError where an inverse definition's expr vanishes."""
+    def evaluator(self, inputs, outputs, nonzero=(), zero=()):
+        """One straight-line Python function of the values of `inputs` (the
+        generators no definition sets, in generator order, then any extra
+        symbols such as module variables) that returns the `outputs`' values
+        as a tuple: ints mod q over F_q, ints and Fractions over QQ.
+
+        It returns None where an element of `inverted` vanishes, tested once
+        its symbols are set, then where one of `nonzero` vanishes or one of
+        `zero` does not. Definitions are assigned in order, and an inverse of
+        zero past those tests raises ZeroDivisionError. The source holds only
+        slot numbers, int literals and names bound in its namespace."""
         f = self.field
-        for sid, expr, as_inv in self.definitions:
-            v = expr.evaluate(values)
-            values[sid] = f.inv(v) if as_inv else v
-        return values
+        mod, namespace = "", {"inv": f.inv}
+        if isinstance(f, PrimeField):
+            # inverses from a table; the Field is called only to raise on zero
+            mod, table = f" % {f.q}", (0,) + tuple(pow(x, -1, f.q) for x in range(1, f.q))
+            namespace["inv"] = lambda v: table[v] if v else f.inv(v)
+        slot = {s: k for k, s in enumerate(inputs)}
+
+        def expr(poly) -> str:
+            terms = []
+            for word, c in poly.terms.items():
+                factors = [f"v{slot[s]}" for s in word]
+                if type(c) is not int:  # a Fraction's text would be float division
+                    name = f"c{len(namespace)}"
+                    namespace[name] = c
+                    factors.insert(0, name)
+                elif c != 1 or not factors:
+                    factors.insert(0, str(c))
+                terms.append("*".join(factors))
+            return f"({' + '.join(terms) or '0'}){mod}"
+
+        body, waiting, tested = [], list(self.inverted), {}
+
+        def guard_set_elements():
+            # an inverse definition of a tested element reads its value
+            for u in [u for u in waiting if u.symbols() <= slot.keys()]:
+                waiting.remove(u)
+                tested[u] = f"u{len(tested)}"
+                body.extend((f"{tested[u]} = {expr(u)}", f"if not {tested[u]}: return None"))
+
+        guard_set_elements()
+        for sid, poly, as_inv in self.definitions:
+            value = tested.get(poly) or expr(poly)
+            k = slot[sid] = len(slot)
+            body.append(f"v{k} = inv({value})" if as_inv else f"v{k} = {value}")
+            guard_set_elements()
+        body += [f"if not {expr(u)}: return None" for u in waiting + list(nonzero)]
+        body += [f"if {expr(r)}: return None" for r in zero]
+        body.append(f"return ({''.join(expr(p) + ', ' for p in outputs)})")
+        args = ", ".join(f"v{k}" for k in range(len(inputs)))
+        exec(f"def run({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+        return namespace["run"]
 
     def names(self) -> dict:
         return {sy.sym_name(s): s for s in self.generators + self.module_vars}

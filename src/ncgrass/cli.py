@@ -110,8 +110,11 @@ def _json_text(doc) -> str:
 
 
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(doc))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_json_text(doc))
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 # ---------------------------------------------------------------------------

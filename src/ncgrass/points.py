@@ -3,16 +3,17 @@
 A chart point is an assignment of field values to the four chart entries.
 Evaluation is commutative, so transport between charts evaluates the
 transition formulas directly, in plain ints mod q: each transition is
-compiled once into a straight-line Python function (`_compile`). Each point
-spans a 2-dimensional subspace of F_q^4 (the chart matrix: identity in the
-chart columns, entries elsewhere), and the canonical representative of a
-glued point is the reduced row-echelon form of that matrix, also computed
-in ints. Every chart point is transported to every other chart once per q:
-`transport_table` keeps where each one lands as a position in the other
-chart's point list, and the gluing and round-trip checks both read those
-tables. An independent oracle enumerates the echelon matrices
-directly, without any chart or transition machinery, so the glued count has
-ground truth to match.
+compiled once into a straight-line Python function (the overlap's
+`AlgebraPresentation.evaluator`). Each point spans a 2-dimensional subspace
+of F_q^4 (the chart matrix: identity in the chart columns, entries
+elsewhere), and the canonical representative of a glued point is the
+reduced row-echelon form of that matrix, also computed in ints. Every chart
+point is transported to every other chart once per q: `transport_table`
+keeps where each one lands as a position in the other chart's point list,
+and the gluing and round-trip checks both read those tables. An
+independent oracle enumerates the echelon matrices directly, without any
+chart or transition machinery, so the glued count has ground truth to
+match.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ def chart_matrix(lam, vals) -> tuple:
     return tuple(rows)
 
 
-def point_matrix(p: ChartPoint) -> tuple:
-    """The chart matrix of a point, read in assignment order."""
-    return chart_matrix(p.chart, (v for _, v in p.assignment))
-
-
 def rref(mat, q: int) -> tuple:
     """Reduced row-echelon form over F_q, zero rows dropped. The entries are
     reduced mod q and the arithmetic is on plain ints."""
@@ -108,59 +104,18 @@ def rref(mat, q: int) -> tuple:
 # transport along the transition formulas
 
 
-def _compile(pres, free, outputs, q: int):
-    """One Python function for a transition over F_q. It takes the values of
-    `free` (the generators no definition sets) and returns the base-q
-    position of the `outputs` polynomials' values, or None off the overlap.
-
-    The body guards on each element of `pres.inverted` (all polynomials in
-    `free`, else KeyError here), then assigns each definition in order,
-    inverses read from a table for q, and an inverse of zero raises
-    ZeroDivisionError. Guarding first matches dividing first, since every
-    inverted element is the expression of an inverse definition. The source
-    holds only slot numbers and coefficients reduced mod q."""
-    slot = {g: k for k, g in enumerate(free)}
-
-    def expr(poly) -> str:
-        terms = []
-        for word, c in poly.terms.items():
-            factors = [f"v{slot[s]}" for s in word]
-            if c % q != 1 or not factors:
-                factors.insert(0, str(c % q))
-            terms.append("*".join(factors))
-        return " + ".join(terms) or "0"
-
-    args = ", ".join(f"v{k}" for k in range(len(free)))
-    body = [f"if not ({expr(u)}) % {q}: return None" for u in pres.inverted]
-    for sid, poly, as_inv in pres.definitions:
-        k = slot[sid] = len(slot)
-        body.append(f"v{k} = ({expr(poly)}) % {q}")
-        if as_inv:
-            body.append(f"if not v{k}: raise ZeroDivisionError")
-            body.append(f"v{k} = inv[v{k}]")
-    pos = None
-    for out in outputs:
-        digit = f"({expr(out)}) % {q}"
-        pos = digit if pos is None else f"({pos})*{q} + {digit}"
-    body.append(f"return {pos}")
-    source = f"def move({args}):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"inv": (0,) + tuple(pow(x, -1, q) for x in range(1, q))}
-    exec(source, namespace)
-    return namespace["move"]
-
-
 _transition_cache = new_cache()
 
 
 def transport_table(lam, lam2, q: int) -> tuple:
     """For each point of chart_points(lam, q), in order, the position in
     chart_points(lam2, q) of the same subspace in lam2's coordinates, or None
-    off the overlap. The transition formulas are compiled once per table
-    into straight-line code on ints mod q (`_compile`), which reads lam2's
-    entries in chart_entries order as base-q digits. A point is off the
-    overlap when an inverted element vanishes there; a division by zero with
-    none of them zero raises PointGluingError. Memoized, so each point is
-    transported to each chart once per q."""
+    off the overlap. The overlap's evaluator compiles the transition formulas
+    once per table into straight-line code on ints mod q, which returns the
+    images of lam2's entries in chart_entries order, read here as base-q
+    digits. A point is off the overlap when an inverted element vanishes
+    there; a division by zero with none of them zero raises PointGluingError.
+    Memoized, so each point is transported to each chart once per q."""
     lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
@@ -168,11 +123,15 @@ def transport_table(lam, lam2, q: int) -> tuple:
         pair = pair_overlap(lam, lam2, GF(q))
         entries = chart_entries(lam)
         images = [pair.to_base.mapping[e] for e in chart_entries(lam2)]
-        move = _compile(pair.presentation, entries, images, q)
+        move = pair.presentation.evaluator(entries, images)
         table = []
         try:
             for vals in product(range(q), repeat=len(entries)):
-                table.append(move(*vals))
+                image = move(*vals)
+                if image is not None:
+                    a, b, c, d = image
+                    image = ((a * q + b) * q + c) * q + d
+                table.append(image)
         except ZeroDivisionError:
             p = ChartPoint(lam, q, tuple(zip(entries, vals)))
             raise PointGluingError(

@@ -194,17 +194,6 @@ class NcPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: print_key(kv[0]))
 
-    def evaluate(self, values: dict):
-        """Commutative evaluation: every symbol id must appear in values."""
-        f = self.field
-        total = f.zero
-        for w, c in self.terms.items():
-            v = c
-            for s in w:
-                v = f.mul(v, values[s])
-            total = f.add(total, v)
-        return total
-
     def __str__(self):
         return poly_str(self)
 

@@ -142,13 +142,14 @@ def _sample(field: Field, rng: random.Random):
 
 def _certified_point(pres: AlgebraPresentation, witness, seed: str):
     """A point of the presented variety (all relations satisfied, all inverted
-    elements nonzero) where the witness evaluates to a nonzero value, or None
-    after 100 samples.
+    elements nonzero) where the witness evaluates to a nonzero value, as the
+    sampled values of the free generators and the witness's module
+    variables, or None after 100 samples.
 
-    Sampled free generators are extended by `pres.point`, which divides by
-    zero where an inverted element vanishes. A witness with no module
-    variable is tested before the relations (nothing is sampled after them);
-    the module variables of one are sampled once the relations hold."""
+    One evaluator of `pres` runs each sample. A witness with no module
+    variable is tested before the relations, since nothing is sampled after
+    them. The module variables of one are sampled once the relations hold;
+    no relation holds one, so the relations are tested with them at 0."""
     field = pres.field
     rng = random.Random("ncgrass:" + seed)
     defined = {sid for sid, _, _ in pres.definitions}
@@ -156,19 +157,20 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str):
     mvars = sorted(
         (s for s in witness.symbols() if sy.is_module_var(s)), key=lambda s: sy.KEY[s]
     )
+    point = pres.evaluator(
+        free + mvars, (witness,), nonzero=() if mvars else (witness,), zero=pres.relations
+    )
+    unset = [0] * len(mvars)
     for _ in range(100):
+        values = [_sample(field, rng) for _ in free]
         try:
-            values = pres.point({g: _sample(field, rng) for g in free})
+            if point(*values, *unset) is None:
+                continue
         except ZeroDivisionError:
             continue
-        if not mvars and field.is_zero(witness.evaluate(values)):
-            continue
-        if any(not field.is_zero(r.evaluate(values)) for r in pres.relations):
-            continue
-        for x in mvars:
-            values[x] = _sample(field, rng)
-        if not field.is_zero(witness.evaluate(values)):
-            return values
+        values += [_sample(field, rng) for _ in mvars]
+        if not mvars or not field.is_zero(point(*values)[0]):
+            return dict(zip(free + mvars, values))
     return None
 
 

@@ -1,10 +1,11 @@
 """Independent oracles that only the tests use: an exact linear-algebra
 dimension count, a brute-force enumeration of the chart relations, the
-echelon matrices counted per pivot pattern, a reference point search, a
-reference point-by-point transport and a reference row reduction through
-Field calls. None of them touches the rewrite engine, so each gives ground
-truth for it. The eager bound ladder does use the engine: it is the
-reference for deciding Verified part way through a rung."""
+echelon matrices counted per pivot pattern, commutative evaluation one
+letter at a time, a reference point search, a reference point-by-point
+transport and a reference row reduction through Field calls. None of them
+touches the rewrite engine, so each gives ground truth for it. The eager
+bound ladder does use the engine: it is the reference for deciding Verified
+part way through a rung."""
 
 import random
 import time
@@ -105,13 +106,37 @@ def subspace_pattern_counts(q: int) -> dict:
     return counts
 
 
+def evaluate(poly: NcPoly, values: dict):
+    """Commutative evaluation, one Field call per letter: every symbol id
+    must appear in values. The reference for AlgebraPresentation.evaluator."""
+    f = poly.field
+    total = f.zero
+    for w, c in poly.terms.items():
+        v = c
+        for s in w:
+            v = f.mul(v, values[s])
+        total = f.add(total, v)
+    return total
+
+
+def extend_point(pres, values: dict) -> dict:
+    """Extend `values`, an assignment of the generators no definition sets,
+    through the definitions in order and in place, and return it. Raises
+    ZeroDivisionError where an inverse definition's expression vanishes."""
+    for sid, expr, as_inv in pres.definitions:
+        v = evaluate(expr, values)
+        values[sid] = pres.field.inv(v) if as_inv else v
+    return values
+
+
 def reference_certified_point(pres, witness, seed: str):
     """The point search of verify._certified_point as it was written before
-    it evaluated through AlgebraPresentation.point and tested a witness with
-    no module variable before the relations: sample the free generators,
-    evaluate the definitions in order, require every relation to vanish,
-    then sample the witness's module variables and require a nonzero
-    witness. Returns the first such assignment of 100 samples, or None."""
+    it compiled an evaluator and tested a witness with no module variable
+    before the relations: sample the free generators, evaluate the
+    definitions in order, require every relation to vanish, then sample the
+    witness's module variables and require a nonzero witness. Returns the
+    first such assignment of 100 samples, with the defined symbols' values,
+    or None."""
     field = pres.field
     rng = random.Random("ncgrass:" + seed)
     defined = {sid for sid, _, _ in pres.definitions}
@@ -122,16 +147,14 @@ def reference_certified_point(pres, witness, seed: str):
     for _ in range(100):
         values = {g: _sample(field, rng) for g in free}
         try:
-            for sid, expr, as_inv in pres.definitions:
-                v = expr.evaluate(values)
-                values[sid] = field.inv(v) if as_inv else v
+            extend_point(pres, values)
         except ZeroDivisionError:
             continue
-        if any(not field.is_zero(r.evaluate(values)) for r in pres.relations):
+        if any(not field.is_zero(evaluate(r, values)) for r in pres.relations):
             continue
         for x in mvars:
             values[x] = _sample(field, rng)
-        if not field.is_zero(witness.evaluate(values)):
+        if not field.is_zero(evaluate(witness, values)):
             return values
     return None
 
@@ -157,7 +180,7 @@ def transport(p: ChartPoint, lam2) -> ChartPoint | None:
     a time: the same subspace in the other chart's coordinates, computed
     through the transition formulas, or None when an inverted element of the
     overlap vanishes at the point. Each inverted element is the expression of
-    an inverse definition, so they are evaluated only after `pres.point`
+    an inverse definition, so they are evaluated only after `extend_point`
     divides by zero."""
     lam2 = tuple(sorted(lam2))
     if lam2 == p.chart:
@@ -165,14 +188,14 @@ def transport(p: ChartPoint, lam2) -> ChartPoint | None:
     pres, images = _transition_data(p.chart, lam2, p.q)
     values = p.values()
     try:
-        pres.point(values)
+        extend_point(pres, values)
     except ZeroDivisionError:
-        if any(pres.field.is_zero(u.evaluate(values)) for u in pres.inverted):
+        if any(pres.field.is_zero(evaluate(u, values)) for u in pres.inverted):
             return None
         raise PointGluingError(
             f"{p} lies in the overlap with chart {lam2}, but a transition divides by zero"
         ) from None
-    return ChartPoint(lam2, p.q, tuple((e, img.evaluate(values)) for e, img in images))
+    return ChartPoint(lam2, p.q, tuple((e, evaluate(img, values)) for e, img in images))
 
 
 def _position(p: ChartPoint) -> int:

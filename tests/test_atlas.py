@@ -1,9 +1,11 @@
 """Chart presentations, overlap localizations, chains, and the index poset."""
 
+import dataclasses
 import hashlib
 import json
 import random
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -11,7 +13,7 @@ from ncgrass import atlas
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
 from ncgrass.poly import NcPoly, poly_str
-from oracles import chart_relations_bruteforce
+from oracles import chart_relations_bruteforce, evaluate, extend_point
 
 
 def test_all_charts():
@@ -199,10 +201,10 @@ def _every_presentation():
 
 
 def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
-    # so AlgebraPresentation.point divides by zero wherever an inverted
-    # element vanishes: verify._certified_point tests no inverted element,
-    # and the functions points._compile builds test them before the
-    # definitions, which then divide by zero only on a fault in the formulas
+    # so the in-order reference evaluation divides by zero wherever an
+    # inverted element vanishes, and an evaluator, which tests each inverted
+    # element as soon as its symbols are set, meets an inverse of zero only
+    # on a fault in the formulas
     rng = random.Random(3)
     count = 0
     for pres in _every_presentation():
@@ -211,16 +213,110 @@ def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
         inverse_exprs = [expr for _, expr, as_inv in pres.definitions if as_inv]
         assert all(u in inverse_exprs for u in pres.inverted), pres.name
         free = [g for g in pres.generators if g not in sids]
+        point = pres.evaluator(free, [NcPoly.gen(QQ, s) for s in sids])
         for _ in range(20):
-            values = {g: rng.randint(-1, 1) for g in free}
-            try:
-                assert pres.point(values) is values
-            except ZeroDivisionError:
+            vals = [rng.randint(-1, 1) for _ in free]
+            got = point(*vals)
+            if got is None:
                 continue
-            assert set(values) == set(free) | set(sids)
-            assert not any(QQ.is_zero(u.evaluate(values)) for u in pres.inverted)
+            values = dict(zip(free + sids, vals + list(got)))
+            assert not any(QQ.is_zero(evaluate(u, values)) for u in pres.inverted)
         count += 1
     assert count == 156
+
+
+def test_evaluator_matches_the_in_order_reference_on_every_presentation():
+    # the defined symbols and every relation, at 20 seeded points each; None
+    # exactly where the reference divides by zero, and the same int or
+    # Fraction values where it does not
+    rng = random.Random(11)
+    off = on = 0
+    for pres in _every_presentation():
+        sids = [sid for sid, _, _ in pres.definitions]
+        free = [g for g in pres.generators if g not in sids]
+        outputs = [NcPoly.gen(QQ, s) for s in sids] + list(pres.relations)
+        point = pres.evaluator(free, outputs)
+        for _ in range(20):
+            vals = [rng.randint(-2, 2) for _ in free]
+            try:
+                values = extend_point(pres, dict(zip(free, vals)))
+            except ZeroDivisionError:
+                assert point(*vals) is None, (pres.name, vals)
+                off += 1
+                continue
+            want = tuple(evaluate(p, values) for p in outputs)
+            got = point(*vals)
+            assert got == want, (pres.name, vals)
+            assert [type(v) for v in got] == [type(v) for v in want], (pres.name, vals)
+            on += 1
+    assert off and on and off + on == 156 * 20
+
+
+def test_evaluator_keeps_a_fraction_coefficient_exact():
+    a, b, c = atlas.chart_entries((1, 2))[:3]
+    half = NcPoly.gen(QQ, a).scale(Fraction(1, 2))
+    pres = atlas.AlgebraPresentation(
+        name="T",
+        field=QQ,
+        base_chart=(1, 2),
+        generators=(a, b, c),
+        commutation_relations=(),
+        definitions=((b, half, False), (c, half, True)),
+        inverted=(half,),
+    )
+    point = pres.evaluator((a,), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
+    assert point(3) == (Fraction(3, 2), Fraction(2, 3))
+    assert all(type(v) is Fraction for v in point(3))
+    assert point(2) == (1, 1)
+    assert point(0) is None
+
+
+def _chain_guarding_an_adjoined_symbol():
+    """An ordered chain over GF(3) and one of its inverted elements that
+    holds a symbol some definition sets."""
+    for t in permutations(atlas.all_charts(), 3):
+        pres = atlas.overlap_chain(t, GF(3)).presentation
+        sids = {sid for sid, _, _ in pres.definitions}
+        for u in pres.inverted:
+            if u.symbols() & sids:
+                return pres, u
+    raise AssertionError("no chain inverts an element holding an adjoined symbol")
+
+
+def test_evaluator_tests_an_inverted_element_once_its_symbols_are_set():
+    # testing every inverted element before the definitions would read an
+    # unset symbol (KeyError), and testing it only at its inverse definition
+    # would divide by zero there
+    pres, u = _chain_guarding_an_adjoined_symbol()
+    sids = [sid for sid, _, _ in pres.definitions]
+    free = [g for g in pres.generators if g not in sids]
+    point = pres.evaluator(free, [u])
+    last = max(k for k, sid in enumerate(sids) if sid in u.symbols())
+    head = dataclasses.replace(pres, definitions=pres.definitions[: last + 1])
+    vanishing = 0
+    for vals in product(range(3), repeat=len(free)):
+        got = point(*vals)
+        try:
+            values = extend_point(head, dict(zip(free, vals)))
+        except ZeroDivisionError:
+            continue
+        if evaluate(u, values) == 0:
+            vanishing += 1
+            assert got is None, vals
+    assert vanishing
+
+
+def test_evaluator_source_reads_only_names_bound_in_its_namespace():
+    pres = atlas.overlap_chain(((1, 2), (3, 4), (2, 3))).presentation
+    sids = [sid for sid, _, _ in pres.definitions]
+    free = [g for g in pres.generators if g not in sids]
+    x = NcPoly.gen(QQ, sy.module_var(3))
+    witness = (x * NcPoly.gen(QQ, sids[-1])).scale(Fraction(1, 2))
+    point = pres.evaluator(free + [sy.module_var(3)], (witness,), (witness,), pres.relations)
+    names = point.__code__.co_names
+    assert "inv" in names and any(n.startswith("c") for n in names)
+    assert set(names) <= set(point.__globals__) - {"__builtins__"}
+    assert not set(names) & {sy.sym_name(s) for s in pres.generators}
 
 
 def test_chain_presentation_names():
@@ -242,19 +338,20 @@ def test_point_extends_an_assignment_through_the_definitions_in_order():
     pair = atlas.pair_overlap((1, 2), (3, 4))
     pres = pair.presentation
     det = atlas.quasi_det_element((1, 2), (3, 4))
-    free = [g for g in pres.generators if g not in {sid for sid, _, _ in pres.definitions}]
+    sids = [sid for sid, _, _ in pres.definitions]
+    free = [g for g in pres.generators if g not in sids]
     assert free == list(atlas.chart_entries((1, 2)))
-    values = dict(zip(free, (2, 3, 5, 7)))
-    pres.point(values)
-    d = det.evaluate(values)
+    point = pres.evaluator(free, [NcPoly.gen(QQ, s) for s in sids] + [det])
+    *defined, d = point(2, 3, 5, 7)
+    values = dict(zip(free + sids, [2, 3, 5, 7] + defined))
     assert d == 2 * 7 - 3 * 5
     assert values[sy.quasi_det((1, 2), (3, 4))] == d
     assert values[sy.quasi_det_inverse((1, 2), (3, 4))] == QQ.inv(d)
     # the far entries are defined from the base quasi-determinant's inverse
     for e in atlas.chart_entries((3, 4)):
-        assert values[e] == pair.to_base.mapping[e].evaluate(values)
-    with pytest.raises(ZeroDivisionError):
-        pres.point(dict(zip(free, (1, 1, 1, 1))))
+        assert values[e] == evaluate(pair.to_base.mapping[e], values)
+    # the quasi-determinant vanishes there, so the point is off the overlap
+    assert point(1, 1, 1, 1) is None
 
 
 # sha256 of the sorted (symbol, poly_str image) pairs of

@@ -151,6 +151,25 @@ def test_verify_json_report(capsys, tmp_path):
     assert all("elapsed" not in c for c in doc["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "points", "--quiet"),
+        ("export", "charts"),
+        ("normalform", "a(1,2;1,3)"),
+    ],
+)
+def test_an_unwritable_json_path_is_a_usage_error(tmp_path, argv):
+    # exit 1 from verify means a check Failed, so a write error must not
+    # end in a traceback and exit 1
+    path = tmp_path / "missing" / "out.json"
+    cmd = [sys.executable, "-m", "ncgrass.cli", *argv, "--json", str(path)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert f"ncgrass: error: cannot write {path}: No such file or directory\n" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_normalform_goldens(capsys):
     code, out, _ = run_cli(
         capsys, "normalform", "a(1,2;1,3)*a(1,2;1,4) - a(1,2;1,4)*a(1,2;1,3)"

@@ -1,7 +1,7 @@
 """Closed points over small prime fields and the subspace-counting oracle."""
 
 import dataclasses
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -12,12 +12,12 @@ from ncgrass.poly import NcPoly
 from ncgrass.points import (
     ChartPoint,
     PointGluingError,
+    chart_matrix,
     chart_points,
     echelon_matrices,
     gaussian_count,
     glue_count,
     glued_points,
-    point_matrix,
     roundtrip_failures,
     rref,
     subspace_oracle,
@@ -48,24 +48,23 @@ def test_points_are_read_by_position_in_chart_entries_order():
                 )
                 for i in lam
             )
-            assert point_matrix(p) == by_symbol
+            assert chart_matrix(lam, [v for _, v in p.assignment]) == by_symbol
     # a table entry's base-q digits are the images of lam2's entries, read
     # in chart_entries order
     for lam, lam2 in permutations(atlas.all_charts(), 2):
         pair = atlas.pair_overlap(lam, lam2, GF(3))
+        images = [pair.to_base.mapping[e] for e in atlas.chart_entries(lam2)]
+        move = pair.presentation.evaluator(atlas.chart_entries(lam), images)
         targets = chart_points(lam2, 3)
         for p, j in zip(chart_points(lam, 3), transport_table(lam, lam2, 3)):
             if j is not None:
-                values = pair.presentation.point(p.values())
-                assert targets[j].assignment == tuple(
-                    (e, pair.to_base.mapping[e].evaluate(values))
-                    for e in atlas.chart_entries(lam2)
-                )
+                moved = move(*(v for _, v in p.assignment))
+                assert targets[j].assignment == tuple(zip(atlas.chart_entries(lam2), moved))
 
 
 def test_point_matrix_has_identity_in_chart_columns():
     p = next(iter(chart_points((1, 3), 3)))
-    mat = point_matrix(p)
+    mat = chart_matrix(p.chart, [v for _, v in p.assignment])
     assert [row[0] for row in mat] == [1, 0]
     assert [row[2] for row in mat] == [0, 1]
 
@@ -75,8 +74,8 @@ def test_rref_agrees_with_the_field_reference():
     # matrices with zero rows, entries given outside [0, q)
     for q in (2, 3, 5):
         for lam in atlas.all_charts():
-            for p in chart_points(lam, q):
-                mat = point_matrix(p)
+            for vals in product(range(q), repeat=4):
+                mat = chart_matrix(lam, vals)
                 assert rref(mat, q) == reference_rref(mat, q), (mat, q)
         for mat in (
             ((0, 2, 1, 4),),
@@ -91,10 +90,15 @@ def test_rref_agrees_with_the_field_reference():
 
 
 def test_rref_is_idempotent():
-    mat = ((1, 2, 0, 1), (2, 1, 1, 0))
-    r = rref(mat, 3)
-    assert rref(r, 3) == r
-    assert r[0][r[0].index(1):].count(0) >= 0  # normalized leading one
+    # the second matrix's first pivot is 2, so it must be scaled
+    for mat in (((1, 2, 0, 1), (2, 1, 1, 0)), ((2, 1, 0, 1), (1, 1, 1, 0))):
+        r = rref(mat, 3)
+        assert rref(r, 3) == r
+        # each row leads with a one, and its column is zero in every other row
+        for k, row in enumerate(r):
+            col = next(c for c, v in enumerate(row) if v)
+            assert row[col] == 1, mat
+            assert all(other[col] == 0 for other in r[:k] + r[k + 1 :]), mat
 
 
 def test_counts_match_the_independent_oracle():
@@ -139,7 +143,8 @@ def test_in_overlap_and_transport_golden():
     assert j is not None
     far = chart_points((3, 4), 2)[j]
     assert far.chart == (3, 4)
-    assert rref(point_matrix(far), 2) == rref(point_matrix(p), 2)
+    far_vals = [v for _, v in far.assignment]
+    assert rref(chart_matrix((3, 4), far_vals), 2) == rref(chart_matrix((1, 2), (1, 0, 0, 1)), 2)
 
 
 def test_transport_out_of_the_overlap_is_none():
@@ -154,10 +159,10 @@ def test_transport_is_none_exactly_off_the_other_charts_minor():
     for q in (2, 3):
         for lam, lam2 in permutations(atlas.all_charts(), 2):
             c1, c2 = lam2
-            for p, j in zip(chart_points(lam, q), transport_table(lam, lam2, q)):
-                m = point_matrix(p)
+            for vals, j in zip(product(range(q), repeat=4), transport_table(lam, lam2, q)):
+                m = chart_matrix(lam, vals)
                 minor = m[0][c1 - 1] * m[1][c2 - 1] - m[0][c2 - 1] * m[1][c1 - 1]
-                assert (j is None) == (minor % q == 0), (p, lam2)
+                assert (j is None) == (minor % q == 0), (lam, vals, lam2)
 
 
 def _doctor_transition(monkeypatch, lam, lam2, q, doctor):
@@ -305,15 +310,15 @@ def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
     from ncgrass.verify import verify_points
 
     overlaps, compiles, evaluations = [], [], []
-    build, compile_ = points.pair_overlap, points._compile
+    build, compile_ = points.pair_overlap, atlas.AlgebraPresentation.evaluator
 
     def counted_build(lam, lam2, field):
         overlaps.append(None)
         return build(lam, lam2, field)
 
-    def counted_compile(pres, free, outputs, q):
+    def counted_compile(pres, inputs, outputs, *guards):
         compiles.append(None)
-        move = compile_(pres, free, outputs, q)
+        move = compile_(pres, inputs, outputs, *guards)
 
         def counted_move(*vals):
             evaluations.append(None)
@@ -323,7 +328,7 @@ def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
 
     atlas.clear_caches()
     monkeypatch.setattr(points, "pair_overlap", counted_build)
-    monkeypatch.setattr(points, "_compile", counted_compile)
+    monkeypatch.setattr(atlas.AlgebraPresentation, "evaluator", counted_compile)
     try:
         results = verify_points()
     finally:
