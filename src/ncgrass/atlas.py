@@ -114,8 +114,9 @@ class AlgebraPresentation:
 
     definitions drive commutative evaluation (`evaluator`): entries get
     assigned first, then each (symbol, expr, as_inverse) in order sets
-    symbol := eval(expr) or its reciprocal. inverted lists the elements made
-    invertible.
+    symbol := eval(expr) or its reciprocal. inverted lists the elements whose
+    nonvanishing cuts out the overlap; one the relations make invertible, as
+    a disjoint pair's far quasi-determinant, is not listed.
     """
 
     name: str
@@ -152,18 +153,19 @@ class AlgebraPresentation:
     def completed(self, bound: int) -> RewriteSystem:
         return _completed_system(self, bound)
 
-    def evaluator(self, inputs, outputs, nonzero=(), zero=()):
+    def evaluator(self, field: Field, inputs, outputs, nonzero=(), zero=()):
         """One straight-line Python function of the values of `inputs` (the
         generators no definition sets, in generator order, then any extra
         symbols such as module variables) that returns the `outputs`' values
-        as a tuple: ints mod q over F_q, ints and Fractions over QQ.
+        as a tuple in `field`, into which each coefficient is coerced: ints
+        mod q over F_q, ints and Fractions over QQ.
 
         It returns None where an element of `inverted` vanishes, tested once
         its symbols are set, then where one of `nonzero` vanishes or one of
         `zero` does not. Definitions are assigned in order, and an inverse of
         zero past those tests raises ZeroDivisionError. The source holds only
         slot numbers, int literals and names bound in its namespace."""
-        f = self.field
+        f = field
         mod, namespace = "", {"inv": f.inv}
         if isinstance(f, PrimeField):
             # inverses from a table; the Field is called only to raise on zero
@@ -174,7 +176,7 @@ class AlgebraPresentation:
         def expr(poly) -> str:
             terms = []
             for word, c in poly.terms.items():
-                factors = [f"v{slot[s]}" for s in word]
+                c, factors = f.coerce(c), [f"v{slot[s]}" for s in word]
                 if type(c) is not int:  # a Fraction's text would be float division
                     name = f"c{len(namespace)}"
                     namespace[name] = c
@@ -221,7 +223,7 @@ def new_cache() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo made by new_cache: completed systems, presheaves and
+    """Empty every memo made by new_cache: completed systems, overlaps and
     point transport tables."""
     for cache in _caches:
         cache.clear()
@@ -563,30 +565,31 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
         + ((d2sym, det2_elt, False), (d2inv, det2_elt, True)),
         inverted=(det_elt,),
     )
-    to_base = Hom(
-        field,
-        {
-            **to_map,
-            **_materialize(DISJOINT_TO_BASE_EXTRA, sigma, lam, lam2, field),
-        },
-    )
-    from_base = Hom(
-        field,
-        {
-            **from_map,
-            **_materialize(DISJOINT_FROM_BASE_EXTRA, sigma, lam, lam2, field),
-        },
-    )
+    to_extra = _materialize(DISJOINT_TO_BASE_EXTRA, sigma, lam, lam2, field)
+    from_extra = _materialize(DISJOINT_FROM_BASE_EXTRA, sigma, lam, lam2, field)
+    to_base = Hom(field, {**to_map, **to_extra})
+    from_base = Hom(field, {**from_map, **from_extra})
     return OverlapPair(lam, lam2, "disjoint", pres, to_base, from_base, sigma)
 
 
+# ("pair" or "chain", charts, field.key, formulas) -> OverlapPair or
+# ChainOverlap. Every caller shares these objects, so none may change one.
+_overlap_cache = new_cache()
+
+
 def pair_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> OverlapPair:
-    kind = overlap_type(lam, lam2)
-    if kind == "equal":
-        raise ValueError("overlap of a chart with itself is the chart")
-    if kind == "adjacent":
-        return adjacent_overlap(lam, lam2, field, formulas)
-    return disjoint_overlap(lam, lam2, field, formulas)
+    """The overlap of two distinct charts, built once per charts, field and
+    formulas and kept until clear_caches."""
+    lam, lam2 = _chart(lam), _chart(lam2)
+    key = ("pair", (lam, lam2), field.key, formulas)
+    got = _overlap_cache.get(key)
+    if got is None:
+        kind = overlap_type(lam, lam2)
+        if kind == "equal":
+            raise ValueError("overlap of a chart with itself is the chart")
+        build = adjacent_overlap if kind == "adjacent" else disjoint_overlap
+        got = _overlap_cache[key] = build(lam, lam2, field, formulas)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +658,24 @@ class ChainOverlap:
         return inv
 
 
-def overlap_chain(
-    charts, field: Field = QQ, formulas: FormulaSet = CANONICAL
-) -> ChainOverlap:
-    """Base-chart presentation of the overlap of a chart chain: walk the chain,
-    pushing each hop's transition down to base coordinates and inverting, over
-    the base, exactly what the hop requires. Single-entry requirements become
-    plain entry inverses; non-monomial ones are adjoined as formal inverses.
-    The chain is also localized at the base->far pivot of each later chart
-    adjacent to the base, which no hop inverts in a chain through a disjoint pair."""
+def overlap_chain(charts, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> ChainOverlap:
+    """Base-chart presentation of the overlap of a chart chain, built once per
+    charts, field and formulas and kept until clear_caches."""
     charts = tuple(_chart(c) for c in charts)
+    key = ("chain", charts, field.key, formulas)
+    got = _overlap_cache.get(key)
+    if got is None:
+        got = _overlap_cache[key] = _build_chain(charts, field, formulas)
+    return got
+
+
+def _build_chain(charts: tuple, field: Field, formulas: FormulaSet) -> ChainOverlap:
+    """Walk the chain, pushing each hop's transition down to base coordinates
+    and inverting, over the base, exactly what the hop requires. Single-entry
+    requirements become plain entry inverses; non-monomial ones are adjoined
+    as formal inverses. The chain is also localized at the base->far pivot of
+    each later chart adjacent to the base, which no hop inverts in a chain
+    through a disjoint pair."""
     if len(set(charts)) != len(charts) or len(charts) < 2:
         raise ValueError("chain needs at least two distinct charts")
     base = charts[0]
@@ -847,16 +858,10 @@ def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     return Hom(field, mapping)
 
 
-# field.key -> Presheaf
-_presheaf_cache = new_cache()
-
-
 def build_presheaf(field: Field = QQ) -> Presheaf:
     """All 6 maximal charts, 15 pairwise minima, and 20 triple minima, with
-    restriction homomorphisms along every comparable pair. Built once per
-    field and kept until clear_caches."""
-    if field.key in _presheaf_cache:
-        return _presheaf_cache[field.key]
+    restriction homomorphisms along every comparable pair, assembled on each
+    call from the overlaps that pair_overlap and overlap_chain keep."""
     charts = all_charts()
     nodes: dict = {}
     restrictions: dict = {}
@@ -864,16 +869,11 @@ def build_presheaf(field: Field = QQ) -> Presheaf:
     for c in charts:
         nodes[PosetIndex.of(c)] = chart_presentation(c, field)
 
-    pairs: dict = {}
     for a, b in combinations(charts, 2):
         idx = PosetIndex.of(a, b)
         ov = pair_overlap(a, b, field)  # base = lex-least member
-        pairs[idx] = ov
         nodes[idx] = ov.presentation
-        ident = Hom(
-            field,
-            {e: NcPoly.gen(field, e) for e in ov.presentation.generators},
-        )
+        ident = Hom(field, {e: NcPoly.gen(field, e) for e in ov.presentation.generators})
         restrictions[(PosetIndex.of(a), idx)] = ident
         restrictions[(PosetIndex.of(b), idx)] = ov.to_base
 
@@ -884,8 +884,7 @@ def build_presheaf(field: Field = QQ) -> Presheaf:
         for c in combo:
             restrictions[(PosetIndex.of(c), idx)] = chain.homs[c]
         for a, b in combinations(combo, 2):
-            pidx = PosetIndex.of(a, b)
-            restrictions[(pidx, idx)] = pair_to_chain_hom(pairs[pidx], chain)
+            pair = pair_overlap(a, b, field)
+            restrictions[(PosetIndex.of(a, b), idx)] = pair_to_chain_hom(pair, chain)
 
-    ps = _presheaf_cache[field.key] = Presheaf(nodes, restrictions)
-    return ps
+    return Presheaf(nodes, restrictions)

@@ -2,18 +2,18 @@
 
 A chart point is an assignment of field values to the four chart entries.
 Evaluation is commutative, so transport between charts evaluates the
-transition formulas directly, in plain ints mod q: each transition is
-compiled once into a straight-line Python function (the overlap's
-`AlgebraPresentation.evaluator`). Each point spans a 2-dimensional subspace
-of F_q^4 (the chart matrix: identity in the chart columns, entries
-elsewhere), and the canonical representative of a glued point is the
-reduced row-echelon form of that matrix, also computed in ints. Every chart
-point is transported to every other chart once per q: `transport_table`
-keeps where each one lands as a position in the other chart's point list,
-and the gluing and round-trip checks both read those tables. An
-independent oracle enumerates the echelon matrices directly, without any
-chart or transition machinery, so the glued count has ground truth to
-match.
+transition formulas directly, in plain ints mod q: the overlap that `atlas`
+builds over QQ and keeps is compiled once per q into a straight-line Python
+function (its `AlgebraPresentation.evaluator` in F_q, which reduces the
+integer coefficients mod q). Each point spans a 2-dimensional subspace of
+F_q^4 (the chart matrix: identity in the chart columns, entries elsewhere),
+and the canonical representative of a glued point is the reduced
+row-echelon form of that matrix, also computed in ints. Every chart point
+is transported to every other chart once per q: `transport_table` keeps
+where each one lands as a position in the other chart's point list, and
+the gluing and round-trip checks both read those tables. An independent
+oracle enumerates the echelon matrices directly, without any chart or
+transition machinery, so the glued count has ground truth to match.
 """
 
 from __future__ import annotations
@@ -110,20 +110,21 @@ _transition_cache = new_cache()
 def transport_table(lam, lam2, q: int) -> tuple:
     """For each point of chart_points(lam, q), in order, the position in
     chart_points(lam2, q) of the same subspace in lam2's coordinates, or None
-    off the overlap. The overlap's evaluator compiles the transition formulas
-    once per table into straight-line code on ints mod q, which returns the
-    images of lam2's entries in chart_entries order, read here as base-q
-    digits. A point is off the overlap when an inverted element vanishes
-    there; a division by zero with none of them zero raises PointGluingError.
+    off the overlap. The QQ overlap's evaluator in GF(q) compiles the
+    transition formulas once per table into straight-line code on ints mod
+    q, which returns the images of lam2's entries in chart_entries order,
+    read here as base-q digits. A point is off the overlap when an inverted
+    element vanishes there; a division by zero with none of them zero raises
+    PointGluingError.
     Memoized, so each point is transported to each chart once per q."""
     lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
     key = (lam, lam2, q)
     got = _transition_cache.get(key)
     if got is None:
-        pair = pair_overlap(lam, lam2, GF(q))
+        pair = pair_overlap(lam, lam2)
         entries = chart_entries(lam)
         images = [pair.to_base.mapping[e] for e in chart_entries(lam2)]
-        move = pair.presentation.evaluator(entries, images)
+        move = pair.presentation.evaluator(GF(q), entries, images)
         table = []
         try:
             for vals in product(range(q), repeat=len(entries)):

@@ -158,7 +158,7 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str):
         (s for s in witness.symbols() if sy.is_module_var(s)), key=lambda s: sy.KEY[s]
     )
     point = pres.evaluator(
-        free + mvars, (witness,), nonzero=() if mvars else (witness,), zero=pres.relations
+        field, free + mvars, (witness,), nonzero=() if mvars else (witness,), zero=pres.relations
     )
     unset = [0] * len(mvars)
     for _ in range(100):

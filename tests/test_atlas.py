@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from ncgrass import atlas
+from ncgrass import atlas, points
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
 from ncgrass.poly import NcPoly, poly_str
@@ -213,7 +213,7 @@ def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
         inverse_exprs = [expr for _, expr, as_inv in pres.definitions if as_inv]
         assert all(u in inverse_exprs for u in pres.inverted), pres.name
         free = [g for g in pres.generators if g not in sids]
-        point = pres.evaluator(free, [NcPoly.gen(QQ, s) for s in sids])
+        point = pres.evaluator(pres.field, free, [NcPoly.gen(QQ, s) for s in sids])
         for _ in range(20):
             vals = [rng.randint(-1, 1) for _ in free]
             got = point(*vals)
@@ -235,7 +235,7 @@ def test_evaluator_matches_the_in_order_reference_on_every_presentation():
         sids = [sid for sid, _, _ in pres.definitions]
         free = [g for g in pres.generators if g not in sids]
         outputs = [NcPoly.gen(QQ, s) for s in sids] + list(pres.relations)
-        point = pres.evaluator(free, outputs)
+        point = pres.evaluator(pres.field, free, outputs)
         for _ in range(20):
             vals = [rng.randint(-2, 2) for _ in free]
             try:
@@ -264,11 +264,36 @@ def test_evaluator_keeps_a_fraction_coefficient_exact():
         definitions=((b, half, False), (c, half, True)),
         inverted=(half,),
     )
-    point = pres.evaluator((a,), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
+    point = pres.evaluator(pres.field, (a,), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
     assert point(3) == (Fraction(3, 2), Fraction(2, 3))
     assert all(type(v) is Fraction for v in point(3))
     assert point(2) == (1, 1)
     assert point(0) is None
+    # in F_5 the coefficient 1/2 is 3
+    in_f5 = pres.evaluator(GF(5), (a,), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
+    assert in_f5(3) == (4, 4)
+    assert in_f5(5) is None
+
+
+def test_a_presentation_over_qq_evaluates_in_f_q_as_its_build_over_f_q():
+    # what the points layer relies on: every pair overlap and chain has
+    # integral coefficients, so its QQ build compiled in F_3 computes what
+    # the same presentation built over F_3 does
+    qq = list(_every_presentation())
+    charts = atlas.all_charts()
+    f3 = [atlas.chart_presentation(c, GF(3)) for c in charts]
+    f3 += [atlas.pair_overlap(a, b, GF(3)).presentation for a, b in permutations(charts, 2)]
+    f3 += [atlas.overlap_chain(t, GF(3)).presentation for t in permutations(charts, 3)]
+    for pres, pres3 in zip(qq, f3):
+        assert (pres.name, pres.generators) == (pres3.name, pres3.generators)
+        sids = [sid for sid, _, _ in pres.definitions]
+        free = [g for g in pres.generators if g not in sids]
+        outputs = [NcPoly.gen(QQ, s) for s in sids] + list(pres.relations)
+        point = pres.evaluator(GF(3), free, outputs)
+        outputs3 = [NcPoly.gen(GF(3), s) for s in sids] + list(pres3.relations)
+        point3 = pres3.evaluator(GF(3), free, outputs3)
+        for vals in product(range(3), repeat=len(free)):
+            assert point(*vals) == point3(*vals), (pres.name, vals)
 
 
 def _chain_guarding_an_adjoined_symbol():
@@ -290,7 +315,7 @@ def test_evaluator_tests_an_inverted_element_once_its_symbols_are_set():
     pres, u = _chain_guarding_an_adjoined_symbol()
     sids = [sid for sid, _, _ in pres.definitions]
     free = [g for g in pres.generators if g not in sids]
-    point = pres.evaluator(free, [u])
+    point = pres.evaluator(pres.field, free, [u])
     last = max(k for k, sid in enumerate(sids) if sid in u.symbols())
     head = dataclasses.replace(pres, definitions=pres.definitions[: last + 1])
     vanishing = 0
@@ -312,7 +337,8 @@ def test_evaluator_source_reads_only_names_bound_in_its_namespace():
     free = [g for g in pres.generators if g not in sids]
     x = NcPoly.gen(QQ, sy.module_var(3))
     witness = (x * NcPoly.gen(QQ, sids[-1])).scale(Fraction(1, 2))
-    point = pres.evaluator(free + [sy.module_var(3)], (witness,), (witness,), pres.relations)
+    inputs = free + [sy.module_var(3)]
+    point = pres.evaluator(pres.field, inputs, (witness,), (witness,), pres.relations)
     names = point.__code__.co_names
     assert "inv" in names and any(n.startswith("c") for n in names)
     assert set(names) <= set(point.__globals__) - {"__builtins__"}
@@ -341,7 +367,7 @@ def test_point_extends_an_assignment_through_the_definitions_in_order():
     sids = [sid for sid, _, _ in pres.definitions]
     free = [g for g in pres.generators if g not in sids]
     assert free == list(atlas.chart_entries((1, 2)))
-    point = pres.evaluator(free, [NcPoly.gen(QQ, s) for s in sids] + [det])
+    point = pres.evaluator(pres.field, free, [NcPoly.gen(QQ, s) for s in sids] + [det])
     *defined, d = point(2, 3, 5, 7)
     values = dict(zip(free + sids, [2, 3, 5, 7] + defined))
     assert d == 2 * 7 - 3 * 5
@@ -411,13 +437,52 @@ def test_build_presheaf_shape():
         assert set(src.charts) <= set(dst.charts)
 
 
-def test_presheaf_is_built_once_per_field():
-    ps = atlas.build_presheaf()
-    assert all(isinstance(n, atlas.AlgebraPresentation) for n in ps.nodes.values())
-    assert atlas.build_presheaf(QQ) is ps
-    assert atlas.build_presheaf(GF(3)) is not ps
+def test_one_memo_keeps_every_overlap_until_clear_caches():
     atlas.clear_caches()
-    assert atlas.build_presheaf() is not ps
+    memo = atlas._overlap_cache
+    pair = atlas.pair_overlap((1, 2), (2, 3))
+    chain = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)])
+    # the same key, charts in any order within a chart, is the same object
+    assert atlas.pair_overlap((2, 1), [3, 2], QQ, atlas.CANONICAL) is pair
+    assert atlas.overlap_chain(((2, 1), (2, 3), (4, 3))) is chain
+    # another field, formula set, pair order or kind is an entry of its own
+    mutant = atlas.flip_sign(atlas.CANONICAL, atlas.sign_sites()[0])
+    for build in (
+        lambda: atlas.pair_overlap((1, 2), (2, 3), GF(3)),
+        lambda: atlas.pair_overlap((1, 2), (2, 3), formulas=mutant),
+        lambda: atlas.pair_overlap((2, 3), (1, 2)),
+        lambda: atlas.overlap_chain([(1, 2), (2, 3)]),
+    ):
+        before = set(memo)
+        got = build()
+        assert got is not pair and build() is got
+        (key,) = set(memo) - before
+        assert memo[key] is got
+    assert isinstance(got, atlas.ChainOverlap)
+    # invalid input raises on every call and leaves no entry
+    before = set(memo)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            atlas.pair_overlap((1, 2), (2, 1))
+        with pytest.raises(ValueError):
+            atlas.overlap_chain([(1, 2), (1, 2)])
+    assert set(memo) == before
+    # the presheaf's minima are the cached presentations
+    ps = atlas.build_presheaf()
+    for idx, node in ps.nodes.items():
+        if len(idx.charts) == 2:
+            assert node is atlas.pair_overlap(*idx.charts).presentation
+        elif len(idx.charts) == 3:
+            assert node is atlas.overlap_chain(atlas.triple_ordering(idx.charts)).presentation
+    # clear_caches empties the completion, overlap and transition memos
+    pair.presentation.completed(4)
+    points.transport_table((1, 2), (1, 3), 2)
+    memos = (atlas._completion_cache, memo, points._transition_cache)
+    assert sorted(map(id, atlas._caches)) == sorted(map(id, memos))
+    assert all(memos)
+    atlas.clear_caches()
+    assert not any(memos)
+    assert atlas.pair_overlap((1, 2), (2, 3)) is not pair
 
 
 def test_presentations_over_finite_fields():

@@ -7,7 +7,7 @@ import pytest
 
 from ncgrass import atlas, points, verify
 from ncgrass import symbols as sy
-from ncgrass.fields import GF
+from ncgrass.fields import GF, QQ
 from ncgrass.poly import NcPoly
 from ncgrass.points import (
     ChartPoint,
@@ -50,11 +50,12 @@ def test_points_are_read_by_position_in_chart_entries_order():
             )
             assert chart_matrix(lam, [v for _, v in p.assignment]) == by_symbol
     # a table entry's base-q digits are the images of lam2's entries, read
-    # in chart_entries order
+    # in chart_entries order; here from the overlap built over F_3, where the
+    # table reads the QQ one
     for lam, lam2 in permutations(atlas.all_charts(), 2):
         pair = atlas.pair_overlap(lam, lam2, GF(3))
         images = [pair.to_base.mapping[e] for e in atlas.chart_entries(lam2)]
-        move = pair.presentation.evaluator(atlas.chart_entries(lam), images)
+        move = pair.presentation.evaluator(GF(3), atlas.chart_entries(lam), images)
         targets = chart_points(lam2, 3)
         for p, j in zip(chart_points(lam, 3), transport_table(lam, lam2, 3)):
             if j is not None:
@@ -167,13 +168,18 @@ def test_transport_is_none_exactly_off_the_other_charts_minor():
 
 def _doctor_transition(monkeypatch, lam, lam2, q, doctor):
     """Make transport_table(lam, lam2, q) rebuild its table from doctor(pair)
-    in place of pair_overlap's pair. Setting the cached entry to None forces
-    the rebuild, and monkeypatch puts the original entry back afterwards."""
+    in place of the QQ pair overlap it reads. The tables of lam and lam2 over
+    the other fields of the point checks are built first, from the real pair,
+    so only q's table reads the doctored one. Setting the cached entry to
+    None forces the rebuild, and monkeypatch puts the original entry back
+    afterwards."""
+    for other in verify.POINT_QS:
+        transport_table(lam, lam2, other)
     real = points.pair_overlap
 
-    def doctored(a, b, field):
-        pair = real(a, b, field)
-        return doctor(pair) if (a, b, field) == (lam, lam2, GF(q)) else pair
+    def doctored(a, b):
+        pair = real(a, b)
+        return doctor(pair) if (a, b) == (lam, lam2) else pair
 
     monkeypatch.setattr(points, "pair_overlap", doctored)
     monkeypatch.setitem(points._transition_cache, (lam, lam2, q), None)
@@ -188,7 +194,7 @@ def test_transport_inside_the_overlap_that_divides_by_zero_is_an_error(monkeypat
     def break_first_definition(pair):
         pres = pair.presentation
         sid, _, _ = pres.definitions[0]
-        broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(pres.definitions[1:])
+        broken = ((sid, NcPoly.zero(QQ), True),) + tuple(pres.definitions[1:])
         return dataclasses.replace(
             pair, presentation=dataclasses.replace(pres, definitions=broken)
         )
@@ -231,7 +237,7 @@ def test_verify_points_fails_a_transition_that_divides_by_zero(monkeypatch):
     def break_first_definition(pair):
         pres = pair.presentation
         sid, _, _ = pres.definitions[0]
-        broken = ((sid, NcPoly.zero(GF(2)), True),) + tuple(pres.definitions[1:])
+        broken = ((sid, NcPoly.zero(QQ), True),) + tuple(pres.definitions[1:])
         return dataclasses.replace(
             pair, presentation=dataclasses.replace(pres, definitions=broken)
         )
@@ -310,15 +316,15 @@ def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
     from ncgrass.verify import verify_points
 
     overlaps, compiles, evaluations = [], [], []
-    build, compile_ = points.pair_overlap, atlas.AlgebraPresentation.evaluator
+    read, compile_ = points.pair_overlap, atlas.AlgebraPresentation.evaluator
 
-    def counted_build(lam, lam2, field):
-        overlaps.append(None)
-        return build(lam, lam2, field)
+    def counted_read(lam, lam2):
+        overlaps.append(read(lam, lam2))
+        return overlaps[-1]
 
-    def counted_compile(pres, inputs, outputs, *guards):
-        compiles.append(None)
-        move = compile_(pres, inputs, outputs, *guards)
+    def counted_compile(pres, field, inputs, outputs, *guards):
+        compiles.append(field)
+        move = compile_(pres, field, inputs, outputs, *guards)
 
         def counted_move(*vals):
             evaluations.append(None)
@@ -327,12 +333,16 @@ def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
         return counted_move
 
     atlas.clear_caches()
-    monkeypatch.setattr(points, "pair_overlap", counted_build)
+    monkeypatch.setattr(points, "pair_overlap", counted_read)
     monkeypatch.setattr(atlas.AlgebraPresentation, "evaluator", counted_compile)
     try:
         results = verify_points()
     finally:
         atlas.clear_caches()
     assert all(r.outcome == "Verified" for r in results)
+    # each of the 30 QQ pair overlaps is read and compiled once per q
     assert len(overlaps) == len(compiles) == 30 * 3 == 90
+    assert len({id(pair) for pair in overlaps}) == 30
+    assert {pair.presentation.field for pair in overlaps} == {QQ}
+    assert sorted(f.q for f in compiles) == [2] * 30 + [3] * 30 + [5] * 30
     assert len(evaluations) == 30 * (2**4 + 3**4 + 5**4) == 21660

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from ncgrass import atlas, verify
 from ncgrass import symbols as sy
-from ncgrass.fields import GF, QQ
+from ncgrass.fields import GF, QQ, field_by_key
 from ncgrass.poly import poly_str
 from ncgrass.verify import CheckResult, VerificationReport
 from oracles import eager_reduce_check, reference_certified_point
@@ -175,18 +176,68 @@ def test_functoriality_count():
     assert all(r.verified for r in entries)
 
 
-def test_suites_leave_the_shared_presheaf_unchanged():
-    # build_presheaf gives every caller the same presheaf for a field, so no
-    # suite may change a restriction's images
-    ps = atlas.build_presheaf()
-    images = lambda: {
-        k: [(s, poly_str(v)) for s, v in hom.mapping.items()] for k, hom in ps.restrictions.items()
-    }
-    before = images()
+def _overlap_text(ov):
+    """An overlap's relations, definitions and inverted elements, and each of
+    its Homs' images, as text."""
+    pres = ov.presentation
+    homs = (ov.to_base, ov.from_base) if isinstance(ov, atlas.OverlapPair) else ov.homs.values()
+    return (
+        [poly_str(r) for r in pres.relations],
+        [(sy.sym_name(s), poly_str(e), inv) for s, e, inv in pres.definitions],
+        [poly_str(u) for u in pres.inverted],
+        [[(sy.sym_name(s), poly_str(v)) for s, v in h.mapping.items()] for h in homs],
+    )
+
+
+def test_suites_leave_every_cached_overlap_unchanged():
+    # every caller shares the overlaps that atlas keeps, so after the suites
+    # that read them, each one must still equal a fresh build
+    atlas.clear_caches()
     verify.verify_abelianizations()
     verify.verify_functoriality(bound=8)
-    assert atlas.build_presheaf() is ps
-    assert images() == before
+    verify.verify_points()
+    mutant = atlas.flip_sign(atlas.CANONICAL, ("adjacent_to_base", ("a", 1, 2, 4), 0))
+    verify.verify_adjacent_substitution((1, 2), (2, 3), 8, formulas=mutant)
+    verify.verify_adjacent_substitution((2, 3), (1, 2), 8, formulas=mutant)
+    verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 8, QQ, mutant)
+    texts = {key: _overlap_text(ov) for key, ov in atlas._overlap_cache.items()}
+    assert {kind for kind, *_ in texts} == {"pair", "chain"}
+    assert {formulas for *_, formulas in texts} == {atlas.CANONICAL, mutant}
+    atlas.clear_caches()
+    for (kind, charts, field_key, formulas), text in texts.items():
+        build = atlas.pair_overlap if kind == "pair" else atlas.overlap_chain
+        args = charts if kind == "pair" else (charts,)
+        fresh = build(*args, field_by_key(field_key), formulas)
+        assert _overlap_text(fresh) == text, (kind, charts, formulas is mutant)
+    atlas.clear_caches()
+
+
+def test_a_cold_run_builds_each_overlap_once(monkeypatch):
+    # the 24 ordered adjacent pairs, the 6 ordered disjoint pairs, the 20
+    # presheaf triples and the lemma's reversed chain, all over QQ: the
+    # points layer reads the QQ pairs too
+    builds = []
+    for name in ("adjacent_overlap", "disjoint_overlap", "_build_chain"):
+
+        def counted(*args, real=getattr(atlas, name), name=name):
+            *charts, field, _ = args
+            builds.append((name, tuple(charts), field.key))
+            return real(*args)
+
+        monkeypatch.setattr(atlas, name, counted)
+    atlas.clear_caches()
+    try:
+        report = verify.run_all(10)
+    finally:
+        atlas.clear_caches()
+    assert report.status == 0
+    assert Counter(name for name, _, _ in builds) == {
+        "adjacent_overlap": 24,
+        "disjoint_overlap": 6,
+        "_build_chain": 21,
+    }
+    assert len(set(builds)) == len(builds)
+    assert {key for _, _, key in builds} == {"rat"}
 
 
 def test_points_suite():
