@@ -229,7 +229,7 @@ def clear_caches() -> None:
         cache.clear()
 
 
-# pres.key() -> {bound: completed system, or one paused by reduces_to_zero}
+# pres.key() -> {bound: completed system, or one paused by residues}
 _completion_cache = new_cache()
 
 
@@ -263,35 +263,36 @@ def _occurs(u: tuple, p: NcPoly) -> bool:
     return any(w[i : i + n] == u for w in p.terms for i in range(len(w) - n + 1))
 
 
-def reduces_to_zero(pres: AlgebraPresentation, elements, bound: int) -> bool:
-    """Whether every element reduces to zero modulo the completion of `pres`
-    at `bound`, or modulo a prefix of its rules: each rule lies in the ideal,
-    so either proves every element lies in it. The completion pauses as soon
-    as every element is zero and is kept paused under `bound`, where the next
-    call resumes it. Each element's residue is re-reduced only when a new
-    rule's lhs occurs in one of its words, since it is irreducible by the
-    rules before. A collapsed system reduces everything to zero. False means
-    the completion at `bound` ran to the end with a residue left."""
+def residues(pres: AlgebraPresentation, elements, bound: int) -> list[NcPoly]:
+    """The elements' nonzero normal forms modulo the completion of `pres` at
+    `bound`, in element order, or [] once every element reduces to zero
+    modulo a prefix of its rules: each rule lies in the ideal, so that proves
+    every element lies in it. The completion pauses there and is kept paused
+    under `bound`, where the next call resumes it. Each element's residue is
+    re-reduced only when a new rule's lhs occurs in one of its words, since
+    it is irreducible by the rules before. A collapsed system reduces
+    everything to zero. On a complete rung each element is reduced once."""
     by_bound = _completion_cache.setdefault(pres.key(), {})
     got = by_bound.get(bound)
-    if got is not None and got.completed_bound is not None:
-        return all(got.normal_form(e).is_zero() for e in elements)
-    start = _completion_start(pres, by_bound, bound)
-    residues = [p for p in map(start.normal_form, elements) if not p.is_zero()]
-    seen = len(start.rules)
+    if got is None or got.completed_bound is None:
+        start = _completion_start(pres, by_bound, bound)
+        left = [p for p in map(start.normal_form, elements) if not p.is_zero()]
+        if not left:
+            return []
+        seen = len(start.rules)
 
-    def until(s: RewriteSystem) -> bool:
-        nonlocal residues, seen
-        for r in s.rules[seen:]:
-            residues = [s.normal_form(p) if _occurs(r.lhs, p) else p for p in residues]
-        seen = len(s.rules)
-        residues = [p for p in residues if not p.is_zero()]
-        return not residues
+        def until(s: RewriteSystem) -> bool:
+            nonlocal left, seen
+            for r in s.rules[seen:]:
+                left = [s.normal_form(p) if _occurs(r.lhs, p) else p for p in left]
+            seen = len(s.rules)
+            left = [p for p in left if not p.is_zero()]
+            return not left
 
-    if not residues:
-        return True
-    got = by_bound[bound] = complete(start, bound, until)
-    return got.pending is not None or got.collapsed
+        got = by_bound[bound] = complete(start, bound, until)
+        if got.pending is not None or got.collapsed:
+            return []
+    return [p for p in map(got.normal_form, elements) if not p.is_zero()]
 
 
 def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> AlgebraPresentation:
@@ -573,20 +574,26 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
 
 
 # ("pair" or "chain", charts, field.key, formulas) -> OverlapPair or
-# ChainOverlap. Every caller shares these objects, so none may change one.
+# ChainOverlap; a pair's formulas hold CANONICAL's groups of the other kind.
+# Every caller shares these objects, so none may change one.
 _overlap_cache = new_cache()
 
 
 def pair_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> OverlapPair:
     """The overlap of two distinct charts, built once per charts, field and
-    formulas and kept until clear_caches."""
+    the two formula groups of its kind, and kept until clear_caches: the
+    other kind's groups are keyed and built as CANONICAL's."""
     lam, lam2 = _chart(lam), _chart(lam2)
+    kind = overlap_type(lam, lam2)
+    if kind == "equal":
+        raise ValueError("overlap of a chart with itself is the chart")
+    other = "disjoint" if kind == "adjacent" else "adjacent"
+    formulas = dataclasses.replace(
+        formulas, **{g: getattr(CANONICAL, g) for g in (f"{other}_to_base", f"{other}_from_base")}
+    )
     key = ("pair", (lam, lam2), field.key, formulas)
     got = _overlap_cache.get(key)
     if got is None:
-        kind = overlap_type(lam, lam2)
-        if kind == "equal":
-            raise ValueError("overlap of a chart with itself is the chart")
         build = adjacent_overlap if kind == "adjacent" else disjoint_overlap
         got = _overlap_cache[key] = build(lam, lam2, field, formulas)
     return got

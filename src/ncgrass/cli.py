@@ -21,16 +21,7 @@ from .fields import Field, field_by_key
 from .poly import poly_str
 
 FIELD_KEYS = ("rat", "q2", "q3", "q5", "q7")
-SELECTORS = (
-    "all",
-    "proposition",
-    "lemma",
-    "cocycle",
-    "module-gluing",
-    "abelianization",
-    "functoriality",
-    "points",
-)
+SELECTORS = ("all", *verify.SUITES)
 # selectors whose checks complete no rewriting system, so no bound applies
 UNBOUNDED_SELECTORS = ("abelianization", "points")
 EXPORT_TARGETS = ("charts", "overlaps", "transitions", "presheaf")
@@ -130,26 +121,15 @@ def _selected_report(args, bound: int, field: Field) -> verify.VerificationRepor
         raise UsageError("--field does not apply to the points selector")
     if sel == "all":
         return verify.run_all(bound=bound, field=field)
-    if sel == "proposition":
-        entries = verify.suite_proposition(bound=bound, field=field)
-    elif sel == "lemma":
-        entries = verify.verify_disjoint_lemma(bound=bound, field=field)
-    elif sel == "cocycle":
-        triples = None
-        if args.triple is not None:
-            triples = [_parse_triple(args.triple)]
+    if args.triple is not None:
         try:
-            entries = verify.suite_cocycle(bound=bound, field=field, triples=triples)
+            entries = verify.suite_cocycle(
+                bound=bound, field=field, triples=[_parse_triple(args.triple)]
+            )
         except ValueError as e:
             raise UsageError(str(e)) from None
-    elif sel == "module-gluing":
-        entries = verify.suite_module_gluing(bound=bound, field=field)
-    elif sel == "abelianization":
-        entries = verify.verify_abelianizations(field=field)
-    elif sel == "functoriality":
-        entries = verify.verify_functoriality(bound=bound, field=field)
     else:
-        entries = verify.verify_points()
+        entries = verify.SUITES[sel](bound, field)
     return verify.VerificationReport(entries, bound, field.key)
 
 

@@ -245,9 +245,9 @@ def reference_transport_table(lam, lam2, q: int) -> tuple:
 
 
 def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> CheckResult:
-    """verify._reduce_check as it was written before it asked
-    atlas.reduces_to_zero: each rung of the ladder is completed in full
-    before any element is reduced."""
+    """verify._reduce_check as it was written before it read each rung
+    through atlas.residues: each rung of the ladder is completed in full
+    before any element, or a sign-doubt check's alt, is reduced."""
     t0 = time.perf_counter()
     elements = list(elements)
     if all(e.is_zero() for e in elements):

@@ -485,6 +485,19 @@ def test_one_memo_keeps_every_overlap_until_clear_caches():
     assert atlas.pair_overlap((1, 2), (2, 3)) is not pair
 
 
+def test_a_pair_overlap_is_keyed_only_on_the_formula_groups_of_its_kind():
+    # a sign mutant shares the other kind's canonical pair: an adjacent
+    # site's mutant the disjoint pair, and a disjoint site's the adjacent one
+    atlas.clear_caches()
+    adjacent, disjoint = atlas.pair_overlap((1, 2), (2, 3)), atlas.pair_overlap((1, 2), (3, 4))
+    for site in atlas.sign_sites():
+        mutant = atlas.flip_sign(atlas.CANONICAL, site)
+        own, other = (adjacent, disjoint) if site[0].startswith("adjacent") else (disjoint, adjacent)
+        assert atlas.pair_overlap(other.lam, other.lam2, formulas=mutant) is other
+        assert atlas.pair_overlap(own.lam, own.lam2, formulas=mutant) is not own
+    atlas.clear_caches()
+
+
 def test_presentations_over_finite_fields():
     pres = atlas.chart_presentation((1, 2), field=GF(5))
     assert pres.field is GF(5)

@@ -361,6 +361,26 @@ def test_export_matches_the_recorded_digest(capsys, target, field):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPORT_DIGESTS[target, field]
 
 
+# sha256 of each --json report, recorded before verify read each rung once:
+# the first three reach Inconclusive through the top rung and the F_q point
+# search, the last runs the sign-doubt checks up to rung 12
+REPORT_DIGESTS = {
+    ("all", "q3", "6"): "6743a5cdf2feb86eb474f070dbbdad36b6f3a54f62a27eee01e11ddf8d919a22",
+    ("all", "q5", "4"): "d4d12bfaa3fd9ac94bf387c6c004ac89bfb9cd205a1d9a97bde2e57257aacf5b",
+    ("lemma", "q2", "4"): "7222b098603c8a36e37a7a204a8fedc661223393ebeb7f8772ae2963ba0b0497",
+    ("lemma", "rat", "12"): "7713b0e1057319aad566d79fe9a0debc9ecdb2688f967d8fbd03106395183f0e",
+}
+
+
+@pytest.mark.parametrize("selector,field,bound", sorted(REPORT_DIGESTS))
+def test_verify_json_matches_the_recorded_digest(capsys, tmp_path, selector, field, bound):
+    path = tmp_path / "report.json"
+    argv = ("verify", selector, "--field", field, "--bound", bound, "--quiet", "--json", str(path))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == (0 if field == "rat" else 2)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[selector, field, bound]
+
+
 def test_export_is_deterministic_across_processes():
     cmd = [sys.executable, "-m", "ncgrass.cli", "export", "transitions"]
     a = subprocess.run(cmd, capture_output=True, check=True).stdout

@@ -368,7 +368,7 @@ def _pause_the_chain_part_way(pres, bound):
     of a run from scratch, as an element, reduces to zero by the time that
     rule is added, before the run ends."""
     rule = complete(_chain_base(), bound).rules[50]
-    assert atlas.reduces_to_zero(pres, [NcPoly.from_word(QQ, rule.lhs) - rule.rhs], bound)
+    assert atlas.residues(pres, [NcPoly.from_word(QQ, rule.lhs) - rule.rhs], bound) == []
     paused = atlas._completion_cache[pres.key()][bound]
     assert paused.pending is not None and paused.completed_bound is None
     return paused
@@ -421,16 +421,17 @@ def test_clear_caches_leaves_no_paused_completion():
     atlas.clear_caches()
 
 
-def test_reduces_to_zero_runs_the_rung_to_the_end_on_a_nonmember():
+def test_residues_run_the_rung_to_the_end_on_a_nonmember():
     atlas.clear_caches()
     pres = atlas.overlap_chain([(1, 2), (2, 3), (3, 4)]).presentation
     a = NcPoly.gen(QQ, pres.generators[0])
-    assert not atlas.reduces_to_zero(pres, [NcPoly.scalar(QQ, 0), a], 6)
+    # the nonzero normal forms, in element order
+    assert atlas.residues(pres, [NcPoly.scalar(QQ, 0), a, a + a], 6) == [a, a + a]
     complete6 = atlas._completion_cache[pres.key()][6]
     assert complete6.pending is None and complete6.completed_bound == 6
     assert len(complete6.rules) == 28
     # a complete rung is read, not resumed
-    assert not atlas.reduces_to_zero(pres, [a], 6)
+    assert atlas.residues(pres, [a], 6) == [a]
     assert pres.completed(6) is complete6
     atlas.clear_caches()
 

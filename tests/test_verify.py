@@ -11,7 +11,8 @@ import pytest
 from ncgrass import atlas, verify
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ, field_by_key
-from ncgrass.poly import poly_str
+from ncgrass.poly import NcPoly, poly_str
+from ncgrass.rewrite import RewriteSystem
 from ncgrass.verify import CheckResult, VerificationReport
 from oracles import eager_reduce_check, reference_certified_point
 
@@ -449,3 +450,25 @@ def test_lazy_ladder_gives_the_eager_rows_with_the_suites_reversed(monkeypatch):
     known = json.loads(VERIFY_ALL_B10.read_text("utf-8"))["checks"]
     recorded = {c["id"]: (c["id"], c["outcome"], c["bound"], c["witness"], c["claim"]) for c in known}
     assert all(recorded[row[0]] == row for row in lazy)
+
+
+def test_reduce_check_reads_each_complete_rung_once(monkeypatch):
+    # with rungs 4 and 6 complete in the cache, each of two nonmembers is
+    # reduced once per rung, and the first is the top rung's witness
+    atlas.clear_caches()
+    pres = atlas.pair_overlap((1, 2), (2, 3)).presentation
+    for b in (4, 6):
+        pres.completed(b)
+    calls = []
+    real = RewriteSystem.normal_form
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", counted)
+    gens = [NcPoly.gen(QQ, g) for g in pres.generators[:2]]
+    result = verify._reduce_check(pres, gens, 6, "gens", "two generators reduce to zero")
+    assert len(calls) == 4
+    assert (result.outcome, result.witness) == ("Failed", "a(1,2;1,3)")
+    atlas.clear_caches()
