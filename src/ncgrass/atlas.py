@@ -151,7 +151,12 @@ class AlgebraPresentation:
         return self._key
 
     def completed(self, bound: int) -> RewriteSystem:
-        return _completed_system(self, bound)
+        """The presentation's completion, grown until rung `bound` is known:
+        read the rung with normal_form(p, bound)."""
+        system = _completion_of(self)
+        if not system.has_rung(bound):
+            complete(system, bound)
+        return system
 
     def evaluator(self, field: Field, inputs, outputs, nonzero=(), zero=()):
         """One straight-line Python function of the values of `inputs` (the
@@ -223,38 +228,22 @@ def new_cache() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo made by new_cache: completed systems, overlaps and
+    """Empty every memo made by new_cache: completions, overlaps and
     point transport tables."""
     for cache in _caches:
         cache.clear()
 
 
-# pres.key() -> {bound: completed system, or one paused by residues}
+# pres.key() -> the presentation's completion: one system, grown by each
+# request for a rung it does not know yet, and paused by residues
 _completion_cache = new_cache()
 
 
-def _completion_start(pres: AlgebraPresentation, by_bound: dict, bound: int) -> RewriteSystem:
-    """Where a completion of `pres` at `bound` starts, given its cached
-    systems by bound: the paused one at `bound`, else the largest completed
-    bound below, which gives the same rules as a run from scratch (see
-    rewrite.complete), else the relations. A paused system is never a start
-    at another bound."""
-    got = by_bound.get(bound)
-    if got is not None and got.pending is not None:
-        return got
-    below = [b for b, s in by_bound.items() if b < bound and s.completed_bound is not None]
-    if below:
-        return by_bound[max(below)]
-    return RewriteSystem(pres.field, pres.rewrite_rules())
-
-
-def _completed_system(pres: AlgebraPresentation, bound: int) -> RewriteSystem:
-    """The completion of `pres` at `bound`, memoized."""
-    by_bound = _completion_cache.setdefault(pres.key(), {})
-    got = by_bound.get(bound)
-    if got is None or got.completed_bound is None:
-        got = by_bound[bound] = complete(_completion_start(pres, by_bound, bound), bound)
-    return got
+def _completion_of(pres: AlgebraPresentation) -> RewriteSystem:
+    system = _completion_cache.get(pres.key())
+    if system is None:
+        system = _completion_cache[pres.key()] = RewriteSystem(pres.field, pres.rewrite_rules())
+    return system
 
 
 def _occurs(u: tuple, p: NcPoly) -> bool:
@@ -264,22 +253,21 @@ def _occurs(u: tuple, p: NcPoly) -> bool:
 
 
 def residues(pres: AlgebraPresentation, elements, bound: int) -> list[NcPoly]:
-    """The elements' nonzero normal forms modulo the completion of `pres` at
-    `bound`, in element order, or [] once every element reduces to zero
-    modulo a prefix of its rules: each rule lies in the ideal, so that proves
-    every element lies in it. The completion pauses there and is kept paused
-    under `bound`, where the next call resumes it. Each element's residue is
+    """The elements' nonzero normal forms modulo rung `bound` of the
+    completion of `pres`, in element order, or [] once every element
+    reduces to zero modulo a prefix of its rules: each rule lies in the
+    ideal, so that proves every element lies in it. The completion pauses
+    there, and the next request resumes it. Each element's residue is
     re-reduced only when a new rule's lhs occurs in one of its words, since
-    it is irreducible by the rules before. A collapsed system reduces
+    it is irreducible by the rules before. A collapsed rung reduces
     everything to zero. On a complete rung each element is reduced once."""
-    by_bound = _completion_cache.setdefault(pres.key(), {})
-    got = by_bound.get(bound)
-    if got is None or got.completed_bound is None:
-        start = _completion_start(pres, by_bound, bound)
-        left = [p for p in map(start.normal_form, elements) if not p.is_zero()]
+    system = _completion_of(pres)
+    if not system.has_rung(bound):
+        # the rules so far are a prefix of the rung
+        left = [p for p in map(system.normal_form, elements) if not p.is_zero()]
         if not left:
             return []
-        seen = len(start.rules)
+        seen = len(system.rules)
 
         def until(s: RewriteSystem) -> bool:
             nonlocal left, seen
@@ -289,10 +277,10 @@ def residues(pres: AlgebraPresentation, elements, bound: int) -> list[NcPoly]:
             left = [p for p in left if not p.is_zero()]
             return not left
 
-        got = by_bound[bound] = complete(start, bound, until)
-        if got.pending is not None or got.collapsed:
+        complete(system, bound, until)
+        if not left:
             return []
-    return [p for p in map(got.normal_form, elements) if not p.is_zero()]
+    return [p for p in (system.normal_form(e, bound) for e in elements) if not p.is_zero()]
 
 
 def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> AlgebraPresentation:

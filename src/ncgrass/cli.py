@@ -177,7 +177,7 @@ def cmd_normalform(args) -> int:
     except exprparse.ExprError as e:
         raise UsageError(str(e)) from None
     p = atlas.eliminate_module_vars(pres.base_chart, p)
-    out = poly_str(pres.completed(bound).normal_form(p))
+    out = poly_str(pres.completed(bound).normal_form(p, bound))
     print(out)
     if args.json:
         _write_json(

@@ -27,7 +27,7 @@ from .poly import NcPoly
 
 
 class ExprError(ValueError):
-    """Base class for parse and symbol-resolution failures."""
+    """Base class for parse, literal and symbol-resolution failures."""
 
 
 class ParseError(ExprError):
@@ -155,7 +155,9 @@ class _Parser:
             mark = self.pos
             den = self.digits()
             if self.field.is_zero(self.field.coerce(den)):
-                raise ParseError(mark + 1)
+                raise ExprError(
+                    f"denominator {den} is zero in field {self.field.key} at offset {mark + 1}"
+                )
         else:
             self.pos = save
         value = Fraction(-num if neg else num, den)

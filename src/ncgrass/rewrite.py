@@ -12,10 +12,10 @@ index from the proper prefixes, proper suffixes and subwords of the lhs words
 to their rules. Each hit names the word two lhs words share, so the weight of
 its superposition follows from the two lhs weights without building anything;
 only the superpositions under the bound get a polynomial, made by
-concatenating words. Completing a system already completed at a lower bound
-resumes it and gives exactly the rules of a run from the original rules (the
-argument is in complete). A completion can also pause after any new rule and
-be resumed later at the same bound.
+concatenating words. The completion at any bound is a prefix of the one at
+every higher bound (the argument is in complete), so a system only grows: it
+records where each bound's rules end, its rung, and reads a rung by reducing
+modulo that prefix.
 """
 
 from __future__ import annotations
@@ -71,61 +71,63 @@ _END = -1
 
 class RewriteSystem:
     """An ordered list of rules over one coefficient field, with memoized
-    word normal forms. Rule order matters: it is the reduction tie-break."""
+    word normal forms. Rule order matters: it is the reduction tie-break.
+
+    complete grows the list in place. Rung c, the completion at bound c, is
+    the first ends[c] rules, and normal_form(p, c) reduces modulo them. A
+    rung a request stopped at keeps its memo of word normal forms."""
 
     def __init__(self, field: Field, rules: list[RewriteRule] | None = None):
         self.field = field
         self.rules: list[RewriteRule] = []
-        self.completed_bound: int | None = None
-        # set when completion derives a unit: the quotient is the zero ring
+        # ends[c] is the rule count of rung c, for every c < len(ends)
+        self.ends: list[int] = []
+        # set when completion derives a unit: rung len(ends) and every rung
+        # above it are the zero ring
         self.collapsed = False
+        # the paused run of complete, if any
+        self.pending = None
         # the trie of lhs words: each node maps a symbol id to its child, and
         # _END to the lowest index of a rule whose lhs ends there
         self._trie: dict = {}
-        self._nf_cache: dict[Word, dict] = {}
-        # a paused completion (see complete): (the rest of the run, its bound)
-        self.pending: tuple | None = None
+        # rule count -> memo of word normal forms modulo that many rules
+        self._memos: dict[int, dict] = {}
+        # the ends of the rungs complete was asked for, whose memos are kept
+        self._kept: set[int] = set()
         for r in rules or []:
-            self.add_rule(r)
+            self._add_rule(r)
 
-    def add_rule(self, rule: RewriteRule) -> None:
-        """Append a rule. The system is no longer known to be complete, so it
-        is never resumed from (see complete), and a paused run of it is
-        dropped."""
+    def has_rung(self, bound: int) -> bool:
+        """Whether rung `bound` is known: its end, or that it is the zero ring."""
+        return bound < len(self.ends) or self.collapsed
+
+    def _add_rule(self, rule: RewriteRule) -> None:
+        """Append a rule, dropping the memo of the rules before unless kept."""
+        n = len(self.rules)
         node = self._trie
         for s in rule.lhs:
             node = node.setdefault(s, {})
-        node.setdefault(_END, len(self.rules))
+        node.setdefault(_END, n)
         self.rules.append(rule)
-        self.completed_bound = None
-        self.pending = None
-        self._nf_cache.clear()
-
-    def copy(self) -> "RewriteSystem":
-        s = RewriteSystem(self.field)
-        for r in self.rules:
-            s.add_rule(r)
-        s.collapsed = self.collapsed
-        return s
+        if n not in self._kept:
+            self._memos.pop(n, None)
 
     # reduction
 
-    def find_redex(self, w: Word):
-        """(position, rule index) of the leftmost, lowest-index match; None if irreducible."""
+    def find_redex(self, w: Word, end: int):
+        """(position, rule index) of the leftmost, lowest-index match among
+        the first `end` rules; None if irreducible by them."""
         root = self._trie
-        for pos, first in enumerate(w):
-            node = root.get(first)
-            if node is None:
-                continue
-            best = node.get(_END)
-            for s in w[pos + 1 :]:
+        for pos in range(len(w)):
+            node, best = root, end
+            for s in w[pos:]:
                 node = node.get(s)
                 if node is None:
                     break
-                idx = node.get(_END)
-                if idx is not None and (best is None or idx < best):
+                idx = node.get(_END, end)
+                if idx < best:
                     best = idx
-            if best is not None:
+            if best < end:
                 return pos, best
         return None
 
@@ -138,10 +140,13 @@ class RewriteSystem:
         suffix = w[pos + len(rule.lhs) :]
         return {prefix + rw + suffix: rc for rw, rc in rule.rhs.terms.items()}
 
-    def nf_word(self, w: Word) -> dict:
-        """Normal form of a single word, as a terms dict. Memoized. A word
-        waiting on its children keeps its one-step expansion on the stack."""
-        cache = self._nf_cache
+    def nf_word(self, w: Word, end: int) -> dict:
+        """Normal form of a single word modulo the first `end` rules, as a
+        terms dict. Memoized. A word waiting on its children keeps its
+        one-step expansion on the stack."""
+        cache = self._memos.get(end)
+        if cache is None:
+            cache = self._memos[end] = {}
         got = cache.get(w)
         if got is not None:
             return got
@@ -153,7 +158,7 @@ class RewriteSystem:
                 stack.pop()
                 continue
             if step is None:
-                red = self.find_redex(cur)
+                red = self.find_redex(cur, end)
                 if red is None:
                     cache[cur] = {cur: f.one}
                     stack.pop()
@@ -177,14 +182,17 @@ class RewriteSystem:
             stack.pop()
         return cache[w]
 
-    def normal_form(self, p: NcPoly) -> NcPoly:
+    def normal_form(self, p: NcPoly, bound: int | None = None) -> NcPoly:
+        """p's normal form modulo rung `bound`, or modulo every rule so far
+        when `bound` is None."""
         check_same_field(self.field, p.field)
         f = self.field
-        if self.collapsed:
+        if self.collapsed and (bound is None or bound >= len(self.ends)):
             return NcPoly(f, {})
+        end = len(self.rules) if bound is None else self.ends[bound]
         acc: dict = {}
         for w, c in p.terms.items():
-            for v, cv in self.nf_word(w).items():
+            for v, cv in self.nf_word(w, end).items():
                 c0 = acc.get(v)
                 c2 = f.add(c0, f.mul(c, cv)) if c0 is not None else f.mul(c, cv)
                 if f.is_zero(c2):
@@ -223,18 +231,19 @@ def _superposition_difference(r1: RewriteRule, r2: RewriteRule, key: int, field:
 
 
 def complete(system: RewriteSystem, bound: int, until=None) -> RewriteSystem:
-    """Truncated completion: resolve all ambiguities with superposition weight
-    at most `bound`, iterating to a fixpoint. Deterministic: tasks are handled
-    in order of (superposition weight, rule pair, key), and each surviving
-    difference is oriented and appended in that order. Within an ordered rule
-    pair (i, j), the key of an overlap is its length, which is less than
-    len(lhs_i), and the key of an inclusion is len(lhs_i) plus its position.
-    So a pair's overlaps pop first, shortest first, then its inclusions from
-    left to right, the order in which a scan of the pair meets them; the key
-    depends neither on the window nor on which superpositions exist, so the
-    pop order, and with it the rule list, does not depend on how the entries
-    were found. Each superposition has one key, so the heap entries are
-    unique.
+    """Truncated completion: grow `system` in place until rung `bound` is
+    known, and return it. A run resolves all ambiguities with superposition
+    weight at most its bound, iterating to a fixpoint. Deterministic: tasks
+    are handled in order of (superposition weight, rule pair, key), and each
+    surviving difference is oriented and appended in that order. Within an
+    ordered rule pair (i, j), the key of an overlap is its length, which is
+    less than len(lhs_i), and the key of an inclusion is len(lhs_i) plus its
+    position. So a pair's overlaps pop first, shortest first, then its
+    inclusions from left to right, the order in which a scan of the pair
+    meets them; the key depends neither on the window nor on which
+    superpositions exist, so the pop order, and with it the rule list, does
+    not depend on how the entries were found. Each superposition has one
+    key, so the heap entries are unique.
 
     Only superpositions are enumerated, never rule pairs. An index over the
     lhs words of the rules so far maps each proper prefix, each proper
@@ -251,49 +260,44 @@ def complete(system: RewriteSystem, bound: int, until=None) -> RewriteSystem:
     scan of every rule pair, and its order does not depend on the order of
     the pushes. The base rules are entered one at a time in the same way.
 
-    A system returned by complete at a bound c < `bound` is resumed: only its
-    ambiguities of weight in (c, bound] are seeded. This yields exactly the
-    rules of a run from the original rules. Such a run pops every task of
-    weight <= c before any heavier one, and normal forms depend only on the
-    rule list, so it first replays the run at c step for step. When that
-    replay ends, its heap holds every ambiguity of the rules so far with weight
-    in (c, bound], each under the same key, which is the resumed seed. A
-    collapsed system stays collapsed, since the replay stops where it did. A
-    system completed at c >= `bound` comes back as a copy, still at c.
-    add_rule clears completed_bound, so a system given extra rules after its
-    completion is completed from scratch with those rules as its base.
+    Rungs are prefixes. A run at bound B pops every task of weight <= c < B
+    before any heavier one, and normal forms depend only on the rule list,
+    so until its heap first holds no entry of weight <= c it replays the run
+    at c step for step: the rules so far then are rung c, and their count is
+    recorded as its end. Its heap then holds every ambiguity of those rules
+    with weight in (c, B], each under the same key, so a run that starts
+    from rung c and seeds only the window (c, B] gives exactly the rules of
+    a run at B from the base rules. A request therefore resumes the paused
+    run, if any, until rung `bound` is known; a run that ends below
+    `bound` is followed by one over the window above it. A run that derives
+    a unit while popping an entry of weight w leaves every rung >= w the
+    zero ring and no run after it.
 
-    `until`, if given, is called with the growing system once before the
-    run's first new rule and then after each new rule. At the first True
-    the run pauses: the partial system comes back with completed_bound None
-    and the rest of the run on its `pending` slot. complete(partial, bound)
-    resumes it in place and calls its own `until`, if any, after each
-    further rule; resuming at another bound raises ValueError. The rules so
-    far are a prefix of the rules the whole run gives, so a paused run
-    drained later gives the same system. add_rule and copy drop `pending`."""
-    if system.pending is not None:
-        run, at = system.pending
-        if at != bound:
-            raise ValueError(f"a completion paused at bound {at} cannot resume at bound {bound}")
-        system.pending = None
-    else:
-        lo = system.completed_bound if system.completed_bound is not None else -1
-        run = _completion(system.copy(), lo, bound)
-    s = system  # a resumed run may end without yielding again
-    for s in run:
-        if until is not None and until(s):
-            s.pending = (run, bound)
-            break
+    `until`, if given, is called with the system after each new rule and
+    each rung end a run records short of rung `bound`. At the first True
+    the run pauses on the system's `pending` slot, where the next request
+    resumes it."""
+    s = system
+    while not s.has_rung(bound):
+        if s.pending is None:
+            s.pending = _completion(s, len(s.ends) - 1, bound)
+        for _ in s.pending:
+            if s.has_rung(bound):
+                break
+            if until is not None and until(s):
+                return s
+        else:
+            s.pending = None
+    if bound < len(s.ends):
+        s._kept.add(s.ends[bound])
     return s
 
 
 def _completion(s: RewriteSystem, lo: int, bound: int):
-    """The run of complete on s, a copy it owns: yields s once before its
-    first new rule and then after each new rule, and marks s completed at
-    the end."""
-    yield s
+    """A run of complete on s from its rung lo to `bound`: yields after each
+    new rule and after each rung end it records short of `bound`."""
     f = s.field
-    rules = s.rules
+    rules, ends = s.rules, s.ends
     weight = sy.WEIGHT
     # entries (weight, i, j, key)
     heap: list = []
@@ -341,11 +345,15 @@ def _completion(s: RewriteSystem, lo: int, bound: int):
                         if k != m:
                             heappush(heap, (wm, m, k, n + a))
 
-    if not s.collapsed:
-        for m in range(len(rules)):
-            enter(m, lo)
+    for m in range(len(rules)):
+        enter(m, lo)
 
     while heap:
+        top = heap[0][0]
+        if len(ends) < top:
+            # no entry of weight < top is left: those rungs end here
+            ends.extend([len(rules)] * (top - len(ends)))
+            yield
         _, i, j, key = heappop(heap)
         h = s.normal_form(_superposition_difference(rules[i], rules[j], key, f))
         if h.is_zero():
@@ -354,11 +362,11 @@ def _completion(s: RewriteSystem, lo: int, bound: int):
             # a nonzero scalar lies in the ideal, so the presented algebra is
             # the zero ring and every element reduces to zero
             s.collapsed = True
-            break
-        s.add_rule(orient(h))
+            return
+        s._add_rule(orient(h))
         enter(len(rules) - 1, -1)
-        yield s
-    s.completed_bound = max(bound, lo)
+        yield
+    ends.extend([len(rules)] * (bound + 1 - len(ends)))
 
 
 # the commutative dimension oracle (no rewriting involved)

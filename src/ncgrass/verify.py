@@ -4,9 +4,10 @@ or Inconclusive(bound).
 
 Reduction evidence is one-sided, so the two non-Verified outcomes are kept
 apart: Failed is only reported when the offending normal form is certified
-nonzero by evaluating its abelianization at a sampled rational point of the
-localization locus (all inverted elements nonzero, all defining relations
-satisfied). Without such a point the check stays Inconclusive at its bound.
+nonzero by evaluating its abelianization at a point of the localization
+locus (all inverted elements nonzero, all defining relations satisfied)
+sampled in the coefficient field: a rational point over QQ, a point in F_q
+over F_q. Without such a point the check stays Inconclusive at its bound.
 
 Bounds escalate through 4, 6, 8, ... up to the requested bound; a Verified
 result records the first rung at which everything reduced to zero, so raising

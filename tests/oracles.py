@@ -67,8 +67,10 @@ def truncated_dimension(field: Field, generators, relations, degree: int) -> int
     return len(basis) - _rank(rows, field, order_key)
 
 
-def count_irreducible_words(system: RewriteSystem, generators, weight: int) -> int:
-    return sum(1 for w in words_of_weight(generators, weight) if system.find_redex(w) is None)
+def count_irreducible_words(system: RewriteSystem, bound: int, generators, weight: int) -> int:
+    """The words of `weight` that no rule of rung `bound` reduces."""
+    end = system.ends[bound]
+    return sum(1 for w in words_of_weight(generators, weight) if system.find_redex(w, end) is None)
 
 
 def chart_relations_bruteforce(lam, field: Field = QQ) -> set:
@@ -255,11 +257,11 @@ def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> Chec
     nonzero = None
     for b in _ladder(bound):
         system = pres.completed(b)
-        nfs = [system.normal_form(e) for e in elements]
+        nfs = [system.normal_form(e, b) for e in elements]
         nonzero = next((nf for nf in nfs if not nf.is_zero()), None)
         if nonzero is None:
             if alt is not None:
-                alt_nf = system.normal_form(alt)
+                alt_nf = system.normal_form(alt, b)
                 if alt_nf.is_zero():
                     claim += "; both signs reduce to zero"
                 elif _certified_point(pres, alt_nf, check_id + ":alt") is not None:
@@ -267,7 +269,7 @@ def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> Chec
                 else:
                     claim += "; the displayed sign verifies"
             return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
-    if alt is not None and system.normal_form(alt).is_zero():
+    if alt is not None and system.normal_form(alt, bound).is_zero():
         claim += "; the opposite-sign variant reduces to zero instead"
     point = _certified_point(pres, nonzero, check_id)
     if point is not None:

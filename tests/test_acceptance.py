@@ -149,7 +149,7 @@ def test_dimension_routes_agree(capsys):
         pres = chart_presentation(lam)
         system = pres.completed(4)
         for d in range(5):
-            words = count_irreducible_words(system, pres.generators, d)
+            words = count_irreducible_words(system, 4, pres.generators, d)
             rank = truncated_dimension(QQ, pres.generators, pres.relations, d)
             if words != rank:
                 mismatches.append((lam, d, words, rank))

@@ -88,13 +88,17 @@ def test_syntax_error_offsets():
         ("* a(1,2;1,3)", 1),
         ("a(1;2,3)", 4),
         ("2^-2", 4),
-        ("1/0", 3),
         ("a(1,2;1,3) a(1,2;1,4)", 12),
     ]:
         with pytest.raises(ParseError) as err:
             parse_expr(text, pres)
         assert err.value.offset == offset, text
         assert str(err.value) == f"syntax error at offset {offset}"
+    # a zero denominator is well formed text, and is named as such
+    with pytest.raises(ExprError) as err:
+        parse_expr("1/0", pres)
+    assert not isinstance(err.value, ParseError)
+    assert str(err.value) == "denominator 0 is zero in field rat at offset 3"
 
 
 def test_unknown_generator_errors():
@@ -123,7 +127,9 @@ def test_finite_field_coefficients():
     p = parse_expr("7*a(1,2;1,3) + 1/2", pres)
     a13 = NcPoly.gen(GF(5), sy.entry((1, 2), 1, 3))
     assert p == a13.scale(2) + NcPoly.scalar(GF(5), 3)
-    # a denominator that vanishes in the field is a syntax error at its offset
-    with pytest.raises(ParseError) as err:
+    # a denominator that vanishes in the field is named, with the field and
+    # its offset; the text itself is well formed
+    with pytest.raises(ExprError) as err:
         parse_expr("1/2", atlas.chart_presentation((1, 2), field=GF(2)))
-    assert err.value.offset == 3
+    assert not isinstance(err.value, ParseError)
+    assert str(err.value) == "denominator 2 is zero in field q2 at offset 3"
