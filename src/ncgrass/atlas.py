@@ -15,6 +15,7 @@ homomorphisms into that localization.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -138,25 +139,49 @@ class AlgebraPresentation:
     def rewrite_rules(self) -> list[RewriteRule]:
         return [orient(r) for r in self.relations]
 
+    @functools.cached_property
+    def alphabet(self) -> tuple:
+        """The generators in sy.KEY order: a generator's rank is its index."""
+        return tuple(sorted(self.generators, key=sy.KEY.__getitem__))
+
     def key(self) -> tuple:
-        """The completion cache key: equal for presentations with the same
-        field, generators and relations, so F(i,j) shares R(i,j)'s. Computed
-        on the first call, since a presentation is not changed once built."""
+        """The completion cache key: equal for presentations over one field
+        whose generators weigh the same rank by rank and whose relations
+        become equal, in order, once each generator is replaced by its rank.
+        Such presentations share one completion, renamed (see
+        _completion_cache): F(i,j) shares R(i,j)'s, and overlaps the S4
+        symmetry carries onto each other share one where it keeps the order
+        of their generators. Computed on the first call, since a
+        presentation is not changed once built."""
         if self._key is None:
-            self._key = (
-                self.field.key,
-                self.generators,
-                tuple(poly_str(r) for r in self.relations),
-            )
+            f, rank = self.field, {s: str(r) for r, s in enumerate(self.alphabet)}
+
+            def term(w: tuple, c) -> str:
+                return f"{f.to_str(c)}:{','.join(map(rank.__getitem__, w))}"
+
+            def text(r: NcPoly) -> str:
+                return " ".join(sorted(term(w, c) for w, c in r.terms.items()))
+
+            weights = tuple(sy.WEIGHT[s] for s in self.alphabet)
+            self._key = (f.key, weights, tuple(map(text, self.relations)))
         return self._key
 
     def completed(self, bound: int) -> RewriteSystem:
-        """The presentation's completion, grown until rung `bound` is known:
-        read the rung with normal_form(p, bound)."""
-        system = _completion_of(self)
+        """The presentation's completion, grown until rung `bound` is known,
+        in its own symbols: read the rung with normal_form(p, bound). It is
+        the class's system itself when that is over this alphabet, and
+        otherwise a copy of its rules so far, renamed, without its paused
+        run."""
+        system, _, back = _class_completion(self)
         if not system.has_rung(bound):
             complete(system, bound)
-        return system
+        if all(s == t for s, t in back.items()):
+            return system
+        rules = system.rules if system.pending is None else system.rules[: system.ends[-1]]
+        renamed = [RewriteRule(_renamed_word(r.lhs, back), _renamed(r.rhs, back)) for r in rules]
+        own = RewriteSystem(self.field, renamed)
+        own.ends, own.collapsed = list(system.ends), system.collapsed
+        return own
 
     def evaluator(self, field: Field, inputs, outputs, nonzero=(), zero=()):
         """One straight-line Python function of the values of `inputs` (the
@@ -234,16 +259,43 @@ def clear_caches() -> None:
         cache.clear()
 
 
-# pres.key() -> the presentation's completion: one system, grown by each
-# request for a rung it does not know yet, and paused by residues
+# pres.key() -> (alphabet, system): the completion shared by every
+# presentation with that key, over the alphabet of the first to ask. It
+# grows by each request for a rung it does not know yet, and residues pauses
+# it. The renaming of a member's generators onto that alphabet, rank for
+# rank, keeps their weights and order, and the completion reads nothing else
+# of a symbol, so the member's own completion is this rule list renamed.
 _completion_cache = new_cache()
 
 
-def _completion_of(pres: AlgebraPresentation) -> RewriteSystem:
-    system = _completion_cache.get(pres.key())
-    if system is None:
-        system = _completion_cache[pres.key()] = RewriteSystem(pres.field, pres.rewrite_rules())
-    return system
+def _class_completion(pres: AlgebraPresentation) -> tuple[RewriteSystem, dict, dict]:
+    """The completion of pres's class, and the renamings of pres's
+    generators onto its alphabet and back."""
+    got = _completion_cache.get(pres.key())
+    if got is None:
+        system = RewriteSystem(pres.field, pres.rewrite_rules())
+        got = _completion_cache[pres.key()] = (pres.alphabet, system)
+    alphabet, system = got
+    return system, dict(zip(pres.alphabet, alphabet)), dict(zip(alphabet, pres.alphabet))
+
+
+def _renamed_word(w: tuple, names: dict) -> tuple:
+    """w with each generator s replaced by names[s]. A module variable is
+    central and in no rule, so it stays; any other symbol raises, since
+    passed through it could alias a generator of the other alphabet."""
+    out = []
+    for s in w:
+        t = names.get(s)
+        if t is None:
+            if not sy.is_module_var(s):
+                raise ValueError(f"{sy.sym_name(s)} is not a generator of the presentation")
+            t = s
+        out.append(t)
+    return tuple(out)
+
+
+def _renamed(p: NcPoly, names: dict) -> NcPoly:
+    return NcPoly(p.field, {_renamed_word(w, names): c for w, c in p.terms.items()})
 
 
 def _occurs(u: tuple, p: NcPoly) -> bool:
@@ -260,8 +312,11 @@ def residues(pres: AlgebraPresentation, elements, bound: int) -> list[NcPoly]:
     there, and the next request resumes it. Each element's residue is
     re-reduced only when a new rule's lhs occurs in one of its words, since
     it is irreducible by the rules before. A collapsed rung reduces
-    everything to zero. On a complete rung each element is reduced once."""
-    system = _completion_of(pres)
+    everything to zero. On a complete rung each element is reduced once.
+    The elements and residues are in pres's symbols, renamed at this
+    boundary for the system its class shares."""
+    system, into, back = _class_completion(pres)
+    elements = [_renamed(e, into) for e in elements]
     if not system.has_rung(bound):
         # the rules so far are a prefix of the rung
         left = [p for p in map(system.normal_form, elements) if not p.is_zero()]
@@ -280,7 +335,8 @@ def residues(pres: AlgebraPresentation, elements, bound: int) -> list[NcPoly]:
         complete(system, bound, until)
         if not left:
             return []
-    return [p for p in (system.normal_form(e, bound) for e in elements) if not p.is_zero()]
+    nfs = (system.normal_form(e, bound) for e in elements)
+    return [_renamed(p, back) for p in nfs if not p.is_zero()]
 
 
 def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> AlgebraPresentation:

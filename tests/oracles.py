@@ -5,7 +5,8 @@ letter at a time, a reference point search, a reference point-by-point
 transport and a reference row reduction through Field calls. None of them
 touches the rewrite engine, so each gives ground truth for it. The eager
 bound ladder does use the engine: it is the reference for deciding Verified
-part way through a rung."""
+part way through a rung. So does the private completion: it is the
+reference for a presentation reading the completion its class shares."""
 
 import random
 import time
@@ -15,7 +16,7 @@ from ncgrass.atlas import chart_entries, outside, pair_overlap, validate_chart
 from ncgrass.fields import GF, QQ, Field, check_same_field
 from ncgrass.points import ChartPoint, PointGluingError, chart_points, echelon_matrices
 from ncgrass.poly import NcPoly, Word, commutator, order_key, poly_str, word_weight
-from ncgrass.rewrite import RewriteSystem, _rank
+from ncgrass.rewrite import RewriteSystem, _rank, complete
 from ncgrass.verify import CheckResult, _certified_point, _ladder, _sample
 
 
@@ -279,3 +280,16 @@ def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> Chec
     return CheckResult(
         check_id, claim, f"Inconclusive(bound={bound})", bound, None, time.perf_counter() - t0
     )
+
+
+def private_completion(pres, bound: int) -> RewriteSystem:
+    """The completion of `pres` at `bound` from its own rules, in its own
+    symbols, shared with no other presentation."""
+    return complete(RewriteSystem(pres.field, pres.rewrite_rules()), bound)
+
+
+def private_residues(pres, elements, bound: int) -> list[NcPoly]:
+    """atlas.residues read off a private completion: the elements' nonzero
+    normal forms modulo rung `bound`, in element order."""
+    system = private_completion(pres, bound)
+    return [p for p in (system.normal_form(e, bound) for e in elements) if not p.is_zero()]

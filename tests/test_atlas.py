@@ -511,7 +511,11 @@ def test_equal_presentations_share_one_key_and_one_completion():
     first = atlas.chart_presentation((1, 2), with_module=True)
     second = atlas.chart_presentation((1, 2), with_module=True)
     key = first.key()
-    assert key == (QQ.key, first.generators, tuple(poly_str(r) for r in first.relations))
+    # the field, the weights rank by rank, and each relation's terms with
+    # every generator replaced by its rank under sy.KEY
+    assert first.alphabet == first.generators
+    relations = ("-1:0,1 1:1,0", "-1:2,3 1:3,2", "-1:0,3 -1:2,1 1:1,2 1:3,0")
+    assert key == (QQ.key, (1, 1, 1, 1), relations)
     assert first.key() is key  # computed once
     assert second.key() == key and second.key() is not key
     assert first == second

@@ -1,5 +1,6 @@
 """Truncated diamond-lemma completion and the dimension oracles."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncgrass import atlas, rewrite
+from ncgrass import atlas, rewrite, verify
 from ncgrass import symbols as sy
 from ncgrass.fields import QQ
 from ncgrass.poly import (
@@ -27,7 +28,14 @@ from ncgrass.rewrite import (
     complete,
     orient,
 )
-from oracles import count_irreducible_words, evaluate, truncated_dimension, words_of_weight
+from oracles import (
+    count_irreducible_words,
+    evaluate,
+    private_completion,
+    private_residues,
+    truncated_dimension,
+    words_of_weight,
+)
 
 
 def _gens():
@@ -385,7 +393,7 @@ def _pause_the_chain_part_way(pres, bound):
     by the time that rule is added, before the rung ends."""
     rule = complete(_chain_base(), bound).rules[50]
     assert atlas.residues(pres, [NcPoly.from_word(QQ, rule.lhs) - rule.rhs], bound) == []
-    paused = atlas._completion_cache[pres.key()]
+    _, paused = atlas._completion_cache[pres.key()]  # (alphabet, system)
     assert paused.pending is not None and not paused.has_rung(bound)
     return paused
 
@@ -436,13 +444,134 @@ def test_residues_run_the_rung_to_the_end_on_a_nonmember():
     a = NcPoly.gen(QQ, pres.generators[0])
     # the nonzero normal forms, in element order
     assert atlas.residues(pres, [NcPoly.scalar(QQ, 0), a, a + a], 6) == [a, a + a]
-    system = atlas._completion_cache[pres.key()]
+    _, system = atlas._completion_cache[pres.key()]  # (alphabet, system)
     assert system.pending is None and len(system.ends) == 7
     assert system.ends[6] == len(system.rules) == 28
     # a complete rung is read, not resumed
     assert atlas.residues(pres, [a], 6) == [a]
     assert pres.completed(6) is system
     atlas.clear_caches()
+
+
+def _renamed_items(rules, names):
+    """Each rule as (lhs, rhs terms in order), every symbol s read as names[s]."""
+    rename = lambda w: tuple(names[s] for s in w)
+    return [(rename(r.lhs), [(rename(w), c) for w, c in r.rhs.terms.items()]) for r in rules]
+
+
+def _holds_quasi_det(pres):
+    return any(sy.sym(g).kind in (sy.QUASI_DET, sy.QUASI_DET_INV) for g in pres.generators)
+
+
+def test_every_member_completes_to_its_class_system_renamed(monkeypatch):
+    # a cold run_all(10) asks for the completions of 51 presentations, which
+    # share 16 systems. Each member's completion from scratch is its class
+    # system's rule list, with each generator renamed to the member's
+    # generator of the same rank: rule for rule, term for term, in order
+    atlas.clear_caches()
+    members = {}
+    real = atlas._class_completion
+
+    def recorded(pres):
+        members.setdefault((pres.generators, pres.relations), pres)
+        return real(pres)
+
+    monkeypatch.setattr(atlas, "_class_completion", recorded)
+    verify.run_all(10)
+    assert len(members) == 51 and len(atlas._completion_cache) == 16
+    for pres in members.values():
+        alphabet, shared = atlas._completion_cache[pres.key()]
+        bound = 6 if _holds_quasi_det(pres) else 8
+        complete(shared, bound)
+        own = private_completion(pres, bound)
+        names = dict(zip(alphabet, sorted(pres.generators, key=sy.KEY.__getitem__)))
+        identity = {s: s for s in pres.generators}
+        rung = shared.rules[: shared.ends[bound]]
+        assert _renamed_items(own.rules, identity) == _renamed_items(rung, names)
+        assert own.ends == shared.ends[: bound + 1]
+    atlas.clear_caches()
+
+
+def _class_elements(pres):
+    """Two elements of the ideal, the second reducing to zero only through
+    a derived rule, then two that do not reduce to zero, the second with a
+    module variable. Built by rank, so each member of a class gets the same
+    ones, renamed."""
+    f, (g0, g1, g2) = pres.field, pres.alphabet[:3]
+    top = NcPoly.gen(f, pres.alphabet[-1])
+    derived = private_completion(pres, 8).rules[-1]
+    return [
+        pres.relations[0],
+        NcPoly.from_word(f, derived.lhs) - derived.rhs,
+        top * NcPoly.gen(f, g0) + NcPoly.gen(f, g1),
+        NcPoly.from_word(f, (g2, g1, sy.module_var(1))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "charts",
+    [
+        [((1, 2), (1, 3)), ((1, 3), (1, 2)), ((3, 4), (1, 3))],
+        [((1, 2), (2, 3), (3, 4)), ((1, 3), (2, 3), (2, 4)), ((1, 4), (2, 4), (2, 3))],
+    ],
+    ids=["adjacent pairs", "chains"],
+)
+def test_residues_do_not_depend_on_which_member_leads(charts):
+    # one class led by its first member, then by its second: every member
+    # reads the residues and the rules of its own private completion
+    def build(c):
+        return (atlas.pair_overlap(*c) if len(c) == 2 else atlas.overlap_chain(c)).presentation
+
+    for leader in (0, 1):
+        atlas.clear_caches()
+        members = [build(c) for c in charts]
+        assert len({pres.key() for pres in members}) == 1
+        assert len({pres.alphabet for pres in members}) == len(members)
+        # the leader's run pauses part way through rung 8
+        lead = members[leader]
+        assert atlas.residues(lead, _class_elements(lead)[:2], 8) == []
+        [(alphabet, shared)] = atlas._completion_cache.values()
+        assert alphabet == lead.alphabet and shared.pending is not None
+        for pres in members:
+            elements = _class_elements(pres)
+            for bound in (4, 8):
+                got = atlas.residues(pres, elements, bound)
+                want = private_residues(pres, elements, bound)
+                assert len(want) >= 2
+                assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+            own = pres.completed(8)
+            assert (own is shared) == (pres is lead)
+            assert _rule_list_digest(own) == _rule_list_digest(private_completion(pres, 8))
+    atlas.clear_caches()
+
+
+def test_renaming_never_passes_a_foreign_symbol_through():
+    # a member's residues rename its symbols onto the leader's: a generator
+    # of the leader's that is not the member's would alias, so it raises, as
+    # it does for the leader itself; module variables stay
+    atlas.clear_caches()
+    lead = atlas.pair_overlap((1, 2), (1, 3)).presentation
+    member = atlas.pair_overlap((1, 3), (1, 2)).presentation
+    assert lead.key() == member.key()
+    assert atlas.residues(lead, [NcPoly.gen(QQ, lead.generators[0])], 4)
+    foreign = next(s for s in lead.generators if s not in member.generators)
+    outside = sy.entry((3, 4), 3, 1)
+    for pres, s in ((member, foreign), (lead, outside), (member, outside)):
+        with pytest.raises(ValueError, match="is not a generator of the presentation"):
+            atlas.residues(pres, [NcPoly.gen(QQ, s)], 4)
+    x = NcPoly.gen(QQ, sy.module_var(1))
+    assert atlas.residues(member, [x], 4) == [x]
+    atlas.clear_caches()
+
+
+def test_relations_listed_in_another_order_get_another_key():
+    # rule order is the reduction tie-break, so it is part of the key
+    first, second = atlas.chart_presentation((1, 2)), atlas.chart_presentation((3, 4))
+    assert first.key() == second.key() and first.alphabet != second.alphabet
+    rels = second.commutation_relations
+    reordered = dataclasses.replace(second, commutation_relations=rels[1:] + rels[:1])
+    assert reordered.key() != first.key()
+    assert sorted(reordered.key()[2]) == sorted(first.key()[2])
 
 
 def test_disjoint_pair_rules_at_bound_8():
