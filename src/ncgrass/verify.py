@@ -3,11 +3,18 @@ to zero in an explicitly presented algebra and reported as Verified, Failed,
 or Inconclusive(bound).
 
 Reduction evidence is one-sided, so the two non-Verified outcomes are kept
-apart: Failed is only reported when the offending normal form is certified
-nonzero by evaluating its abelianization at a point of the localization
-locus (all inverted elements nonzero, all defining relations satisfied)
-sampled in the coefficient field: a rational point over QQ, a point in F_q
-over F_q. Without such a point the check stays Inconclusive at its bound.
+apart. Failed needs a point of the presented variety (all inverted elements
+nonzero, all defining relations satisfied), sampled in the coefficient field
+(a rational point over QQ, a point in F_q over F_q), at which an element of
+the check is nonzero. Evaluation at such a point is a ring map that kills
+the ideal, so that element lies outside the ideal at every bound. Once the
+first rung leaves a residue, the check's first nonzero element itself, not
+its residue, is evaluated at two points cached per presentation; if it is
+nonzero at one, a seeded search certifies a point, and the check is Failed
+at bound 0 with that element as its witness. An element with a module
+variable, or one both cached points miss, climbs the ladder, and the first
+residue at the top rung is the witness a point must certify. Without such a
+point the check stays Inconclusive at its bound.
 
 Bounds escalate through 4, 6, 8, ... up to the requested bound; a Verified
 result records the first rung at which everything reduced to zero, so raising
@@ -15,7 +22,8 @@ the bound can only turn Inconclusive into Verified, never the reverse.
 Verified may be decided part way through a rung: every rule completion adds
 is the normal form of a superposition difference and lies in the ideal, so
 reducing an element to zero with any prefix of a rung's rules proves it is
-in the ideal. Only Failed and Inconclusive need the complete rung.
+in the ideal. Only the other outcomes need a complete rung: the first for a
+check the cached points decide, the top one for every other.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .atlas import (
     chart_relations,
     disjoint_sigma,
     eliminate_module_vars,
+    new_cache,
     outside,
     overlap_chain,
     overlap_type,
@@ -175,6 +184,68 @@ def _certified_point(pres: AlgebraPresentation, witness, seed: str):
     return None
 
 
+# (pres.name, pres.key()) -> up to two points of the presented variety, each
+# an assignment of every generator: the first valid samples of one fixed
+# seed, found the first time a check of the presentation leaves a residue.
+# The name keeps the members of one renaming class apart, and the key a
+# mutant from the canonical presentation of its name.
+_points_cache = new_cache()
+
+
+def variety_points(pres: AlgebraPresentation) -> list[dict]:
+    """The cached points of `pres`: the first two of 100 samples of the free
+    generators, in pres's field, where every inverted element is nonzero
+    and every relation vanishes, with the defined generators' values."""
+    key = (pres.name, pres.key())
+    got = _points_cache.get(key)
+    if got is None:
+        field = pres.field
+        rng = random.Random("ncgrass:variety points")
+        defined = {sid for sid, _, _ in pres.definitions}
+        free = [g for g in pres.generators if g not in defined]
+        gens = [NcPoly.gen(field, g) for g in pres.generators]
+        point = pres.evaluator(field, free, gens, zero=pres.relations)
+        got = _points_cache[key] = []
+        for _ in range(100):
+            try:
+                values = point(*(_sample(field, rng) for _ in free))
+            except ZeroDivisionError:
+                continue
+            if values is not None:
+                got.append(dict(zip(pres.generators, values)))
+                if len(got) == 2:
+                    break
+    return got
+
+
+# a prime that divides no denominator of a sampled point or of a formula:
+# each is a product of integers far below it
+_P = (1 << 61) - 1
+
+
+def _off_the_variety(pres: AlgebraPresentation, element: NcPoly) -> bool:
+    """Whether an element with no module variable is nonzero at one of the
+    cached points of `pres`, which proves it lies outside the ideal.
+
+    Over F_q the value is computed in ints mod q. Over QQ it is computed in
+    ints mod _P, the image of the rational value under the ring map from the
+    rationals with denominators prime to _P onto F_P: a nonzero image proves
+    a nonzero value, and a zero one only leaves the check on the ladder."""
+    if any(sy.is_module_var(s) for s in element.symbols()):
+        return False
+    q = pres.field.q if isinstance(pres.field, PrimeField) else _P
+
+    def image(v) -> int:
+        return v.numerator * pow(v.denominator, -1, q) % q
+
+    terms = [(w, image(c)) for w, c in element.terms.items()]
+    for point in variety_points(pres):
+        values = {g: image(v) for g, v in point.items()}
+        if sum(c * math.prod(map(values.__getitem__, w)) for w, c in terms) % q:
+            return True
+    return False
+
+
 def _reduce_check(
     pres: AlgebraPresentation,
     elements,
@@ -188,19 +259,30 @@ def _reduce_check(
 
     Each rung is read once, through atlas.residues: its completion runs only
     until every element reduces to zero, which is proof, and the rung is
-    Verified; otherwise it runs to the end, and the normal forms left
-    decide every other outcome, the first of them at the top rung being the
+    Verified; otherwise it runs to the end. Once the first rung leaves a
+    residue, the first nonzero element itself is evaluated at the cached
+    points of pres (variety_points). If it is nonzero at one, it lies
+    outside the ideal and can never reduce to zero, so the ladder stops: the
+    check is Failed at bound 0 with that element as its witness when the
+    seeded search certifies a point where it is nonzero, and Inconclusive at
+    its bound when not. That search answers as it would for the element's
+    top-rung residue, which takes the same value at every point. Otherwise
+    the normal forms the top rung leaves decide, the first of them being the
     witness a Failed check certifies.
 
     alt is the opposite-sign variant of a single element whose displayed sign
     is in doubt. The claim then records how alt fares at the deciding rung,
     read the same way, so alt's nonzero normal form is taken modulo the
-    complete rung; the displayed sign is never silently replaced."""
+    complete rung; the displayed sign is never silently replaced. An alt
+    that is nonzero at a cached point cannot reduce to zero, and its rung is
+    not read."""
     t0 = time.perf_counter()
     elements = list(elements)
-    if all(e.is_zero() for e in elements):
+    first = next((e for e in elements if not e.is_zero()), None)
+    if first is None:
         return CheckResult(check_id, claim, "Verified", 0, None, time.perf_counter() - t0)
-    for b in _ladder(bound):
+    off = False
+    for k, b in enumerate(_ladder(bound)):
         left = residues(pres, elements, b)
         if not left:
             if alt is not None:
@@ -212,11 +294,15 @@ def _reduce_check(
                 else:
                     claim += "; the displayed sign verifies"
             return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
-    if alt is not None and not residues(pres, [alt], bound):
+        if k == 0 and _off_the_variety(pres, first):
+            off = True
+            break
+    if alt is not None and not _off_the_variety(pres, alt) and not residues(pres, [alt], bound):
         claim += "; the opposite-sign variant reduces to zero instead"
-    if _certified_point(pres, left[0], check_id) is not None:
+    witness, at = (first, 0) if off else (left[0], bound)
+    if _certified_point(pres, witness, check_id) is not None:
         return CheckResult(
-            check_id, claim, "Failed", bound, poly_str(left[0]), time.perf_counter() - t0
+            check_id, claim, "Failed", at, poly_str(witness), time.perf_counter() - t0
         )
     return CheckResult(
         check_id, claim, f"Inconclusive(bound={bound})", bound, None, time.perf_counter() - t0

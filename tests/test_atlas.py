@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from ncgrass import atlas, points
+from ncgrass import atlas, points, verify
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ
 from ncgrass.poly import NcPoly, poly_str
@@ -474,10 +474,12 @@ def test_one_memo_keeps_every_overlap_until_clear_caches():
             assert node is atlas.pair_overlap(*idx.charts).presentation
         elif len(idx.charts) == 3:
             assert node is atlas.overlap_chain(atlas.triple_ordering(idx.charts)).presentation
-    # clear_caches empties the completion, overlap and transition memos
+    # clear_caches empties the completion, overlap, transition and variety
+    # point memos
     pair.presentation.completed(4)
     points.transport_table((1, 2), (1, 3), 2)
-    memos = (atlas._completion_cache, memo, points._transition_cache)
+    verify.variety_points(pair.presentation)
+    memos = (atlas._completion_cache, memo, points._transition_cache, verify._points_cache)
     assert sorted(map(id, atlas._caches)) == sorted(map(id, memos))
     assert all(memos)
     atlas.clear_caches()

@@ -11,10 +11,10 @@ import pytest
 from ncgrass import atlas, verify
 from ncgrass import symbols as sy
 from ncgrass.fields import GF, QQ, field_by_key
-from ncgrass.poly import NcPoly, poly_str
+from ncgrass.poly import NcPoly, abelianize, poly_str
 from ncgrass.rewrite import RewriteSystem
 from ncgrass.verify import CheckResult, VerificationReport
-from oracles import eager_reduce_check, reference_certified_point
+from oracles import eager_reduce_check, evaluate, extend_point, reference_certified_point
 
 VERIFY_ALL_B10 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify_all_b10.json"
 
@@ -412,22 +412,57 @@ def _eager_and_lazy_rows(monkeypatch, run):
     return eager, lazy
 
 
-def test_lazy_ladder_gives_the_eager_rows_on_the_sign_mutants(monkeypatch):
-    # the targeted suites of the mutation sweep at bound 12: Failed and
-    # Inconclusive checks read the complete top rung
-    def run():
-        entries = []
-        for site in atlas.sign_sites():
-            mutated = atlas.flip_sign(atlas.CANONICAL, site)
-            entries += verify.verify_adjacent_substitution((1, 2), (2, 3), 12, formulas=mutated)
-            entries += verify.verify_adjacent_substitution((2, 3), (1, 2), 12, formulas=mutated)
-            entries += verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 12, QQ, mutated)
-        return entries
+def _mutant_suites(bound):
+    """The targeted suites of the mutation sweep on each of the 18 sign
+    mutants, in sign_sites order."""
+    entries = []
+    for site in atlas.sign_sites():
+        mutated = atlas.flip_sign(atlas.CANONICAL, site)
+        entries += verify.verify_adjacent_substitution((1, 2), (2, 3), bound, formulas=mutated)
+        entries += verify.verify_adjacent_substitution((2, 3), (1, 2), bound, formulas=mutated)
+        entries += verify._lemma_direction(((1, 2), (2, 3), (3, 4)), bound, QQ, mutated)
+    return entries
 
-    eager, lazy = _eager_and_lazy_rows(monkeypatch, run)
-    assert len(eager) == 468
-    assert lazy == eager
-    assert {row[1] for row in eager} == {"Verified", "Failed", "Inconclusive(bound=12)"}
+
+def _recorded_checks(monkeypatch):
+    """(presentation, elements, result) of every _reduce_check call from
+    now on, in call order."""
+    calls = []
+    real = verify._reduce_check
+
+    def recorded(pres, elements, *args, **kwargs):
+        elements = list(elements)
+        result = real(pres, elements, *args, **kwargs)
+        calls.append((pres, elements, result))
+        return result
+
+    monkeypatch.setattr(verify, "_reduce_check", recorded)
+    return calls
+
+
+def test_lazy_ladder_gives_the_eager_rows_on_the_sign_mutants(monkeypatch):
+    # the targeted suites of the mutation sweep at bound 12. The eager ladder
+    # reads every rung up to the top; the lazy driver stops a check whose
+    # element is nonzero at a cached point after its first rung, and reports
+    # that element at bound 0. Everything else is the eager row.
+    checks = _recorded_checks(monkeypatch)
+    eager, lazy = _eager_and_lazy_rows(monkeypatch, lambda: _mutant_suites(12))
+    assert len(eager) == len(lazy) == len(checks) == 468
+    assert Counter(row[1] for row in eager) == {
+        "Verified": 378,
+        "Failed": 76,
+        "Inconclusive(bound=12)": 14,
+    }
+    for want, got, (pres, elements, _) in zip(eager, lazy, checks):
+        cid, outcome, _, _, claim = got
+        assert (cid, outcome, claim) == (want[0], want[1], want[4])
+        if outcome != "Failed":
+            assert got == want
+            continue
+        element = next(e for e in elements if not e.is_zero())
+        assert got[2:4] == (0, poly_str(element)), cid
+        point = reference_certified_point(pres, element, cid)
+        assert point is not None and evaluate(element, point) != 0, cid
 
 
 def test_lazy_ladder_gives_the_eager_rows_with_the_suites_reversed(monkeypatch):
@@ -453,8 +488,10 @@ def test_lazy_ladder_gives_the_eager_rows_with_the_suites_reversed(monkeypatch):
 
 
 def test_reduce_check_reads_each_complete_rung_once(monkeypatch):
-    # with rungs 4 and 6 complete in the cache, each of two nonmembers is
-    # reduced once per rung, and the first is the top rung's witness
+    # with rungs 4 and 6 complete in the cache, each of two commutators that
+    # rung 6 leaves nonzero and no commutative point flags is reduced once
+    # per rung; two generators, nonzero at a cached point, are reduced once,
+    # at rung 4, and the first is the Failed check's witness
     atlas.clear_caches()
     pres = atlas.pair_overlap((1, 2), (2, 3)).presentation
     for b in (4, 6):
@@ -467,10 +504,80 @@ def test_reduce_check_reads_each_complete_rung_once(monkeypatch):
         return real(self, p, bound)
 
     monkeypatch.setattr(RewriteSystem, "normal_form", counted)
-    gens = [NcPoly.gen(QQ, g) for g in pres.generators[:2]]
-    result = verify._reduce_check(pres, gens, 6, "gens", "two generators reduce to zero")
+    g13, g14, g23, g24 = (NcPoly.gen(QQ, g) for g in pres.generators[:4])
+    commutators = [g13 * g23 - g23 * g13, g14 * g24 - g24 * g14]
+    assert all(abelianize(c).is_zero() for c in commutators)
+    result = verify._reduce_check(pres, commutators, 6, "comm", "two commutators vanish")
     assert len(calls) == 4
-    assert (result.outcome, result.witness) == ("Failed", "a(1,2;1,3)")
+    assert (result.outcome, result.bound, result.witness) == ("Inconclusive(bound=6)", 6, None)
+    calls.clear()
+    result = verify._reduce_check(pres, [g13, g14], 6, "gens", "two generators reduce to zero")
+    assert len(calls) == 2
+    assert (result.outcome, result.bound, result.witness) == ("Failed", 0, "a(1,2;1,3)")
+    atlas.clear_caches()
+
+
+def _presentations_run_all_reads(monkeypatch, field):
+    """Every presentation run_all(10, field) reads, once each: those its
+    checks reduce in, here without reducing, and the presheaf's nodes."""
+    seen = {}
+
+    def record(pres, elements, bound, check_id, claim, alt=None):
+        seen[id(pres)] = pres
+        return CheckResult(check_id, claim, "Verified", 0)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_reduce_check", record)
+        verify.run_all(10, field)
+    for pres in atlas.build_presheaf(field).nodes.values():
+        seen[id(pres)] = pres
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["rat", "q3"])
+def test_every_cached_point_is_a_point_of_its_presentation(monkeypatch, field):
+    # recomputed one letter at a time from the free generators' values, each
+    # point satisfies every relation and inverts every inverted element, and
+    # assigns its own presentation's generators, never those of another
+    # member of its renaming class
+    atlas.clear_caches()
+    presentations = _presentations_run_all_reads(monkeypatch, field)
+    assert len(presentations) == 51 + 6
+    classes = {}
+    for pres in presentations:
+        classes.setdefault(pres.key(), set()).add(pres.generators)
+        points = verify.variety_points(pres)
+        assert len(points) == 2, pres.name
+        defined = {sid for sid, _, _ in pres.definitions}
+        for point in points:
+            assert set(point) == set(pres.generators), pres.name
+            free = {g: v for g, v in point.items() if g not in defined}
+            assert extend_point(pres, free) == point, pres.name
+            assert all(field.is_zero(evaluate(r, point)) for r in pres.relations), pres.name
+            assert not any(field.is_zero(evaluate(u, point)) for u in pres.inverted), pres.name
+    assert any(len(members) > 1 for members in classes.values())
+    atlas.clear_caches()
+
+
+def test_every_verified_element_vanishes_at_the_cached_points(monkeypatch):
+    # an audit of the rewrite engine that does not trust it: an element of a
+    # Verified check lies in the ideal, so it vanishes at every point of the
+    # presented variety, whatever the central module variables are
+    checks = _recorded_checks(monkeypatch)
+    atlas.clear_caches()
+    verify.run_all(10)
+    _mutant_suites(12)
+    module_values = {sy.module_var(j): j + 1 for j in range(1, 5)}
+    verified = [(pres, elements, r) for pres, elements, r in checks if r.verified]
+    nonzero = [
+        r.check_id
+        for pres, elements, r in verified
+        for point in verify.variety_points(pres)
+        if any(not pres.field.is_zero(evaluate(e, {**point, **module_values})) for e in elements)
+    ]
+    assert nonzero == []
+    # 472 of run_all and 378 of the mutants
+    assert len(verified) == 850
     atlas.clear_caches()
 
 
