@@ -7,14 +7,14 @@ apart. Failed needs a point of the presented variety (all inverted elements
 nonzero, all defining relations satisfied), sampled in the coefficient field
 (a rational point over QQ, a point in F_q over F_q), at which an element of
 the check is nonzero. Evaluation at such a point is a ring map that kills
-the ideal, so that element lies outside the ideal at every bound. Once the
-first rung leaves a residue, the check's first nonzero element itself, not
-its residue, is evaluated at two points cached per presentation; if it is
-nonzero at one, a seeded search certifies a point, and the check is Failed
-at bound 0 with that element as its witness. An element with a module
-variable, or one both cached points miss, climbs the ladder, and the first
-residue at the top rung is the witness a point must certify. Without such a
-point the check stays Inconclusive at its bound.
+the ideal, so that element lies outside the ideal at every bound. Each
+presentation keeps four such points, the first valid samples of one fixed
+seed. Once the first rung leaves a residue, the check's elements themselves,
+not their residues, are evaluated there, with module variables kept as
+commuting indeterminates; the first that is nonzero at a point makes the
+check Failed at bound 0, with that element as its witness. A check no point
+decides climbs the ladder and stays Inconclusive at its bound if the top
+rung leaves a residue.
 
 Bounds escalate through 4, 6, 8, ... up to the requested bound; a Verified
 result records the first rung at which everything reduced to zero, so raising
@@ -22,8 +22,7 @@ the bound can only turn Inconclusive into Verified, never the reverse.
 Verified may be decided part way through a rung: every rule completion adds
 is the normal form of a superposition difference and lies in the ideal, so
 reducing an element to zero with any prefix of a rung's rules proves it is
-in the ideal. Only the other outcomes need a complete rung: the first for a
-check the cached points decide, the top one for every other.
+in the ideal. Inconclusive needs the complete top rung.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# reduction driver: bound ladder plus failure certification
+# reduction driver: bound ladder plus the cached points of each presentation
 
 
 def _ladder(bound: int) -> list[int]:
@@ -150,41 +149,7 @@ def _sample(field: Field, rng: random.Random):
     return rng.randint(-9, 9)
 
 
-def _certified_point(pres: AlgebraPresentation, witness, seed: str):
-    """A point of the presented variety (all relations satisfied, all inverted
-    elements nonzero) where the witness evaluates to a nonzero value, as the
-    sampled values of the free generators and the witness's module
-    variables, or None after 100 samples.
-
-    One evaluator of `pres` runs each sample. A witness with no module
-    variable is tested before the relations, since nothing is sampled after
-    them. The module variables of one are sampled once the relations hold;
-    no relation holds one, so the relations are tested with them at 0."""
-    field = pres.field
-    rng = random.Random("ncgrass:" + seed)
-    defined = {sid for sid, _, _ in pres.definitions}
-    free = [g for g in pres.generators if g not in defined]
-    mvars = sorted(
-        (s for s in witness.symbols() if sy.is_module_var(s)), key=lambda s: sy.KEY[s]
-    )
-    point = pres.evaluator(
-        field, free + mvars, (witness,), nonzero=() if mvars else (witness,), zero=pres.relations
-    )
-    unset = [0] * len(mvars)
-    for _ in range(100):
-        values = [_sample(field, rng) for _ in free]
-        try:
-            if point(*values, *unset) is None:
-                continue
-        except ZeroDivisionError:
-            continue
-        values += [_sample(field, rng) for _ in mvars]
-        if not mvars or not field.is_zero(point(*values)[0]):
-            return dict(zip(free + mvars, values))
-    return None
-
-
-# (pres.name, pres.key()) -> up to two points of the presented variety, each
+# (pres.name, pres.key()) -> up to four points of the presented variety, each
 # an assignment of every generator: the first valid samples of one fixed
 # seed, found the first time a check of the presentation leaves a residue.
 # The name keeps the members of one renaming class apart, and the key a
@@ -193,7 +158,7 @@ _points_cache = new_cache()
 
 
 def variety_points(pres: AlgebraPresentation) -> list[dict]:
-    """The cached points of `pres`: the first two of 100 samples of the free
+    """The cached points of `pres`: the first four of 100 samples of the free
     generators, in pres's field, where every inverted element is nonzero
     and every relation vanishes, with the defined generators' values."""
     key = (pres.name, pres.key())
@@ -213,7 +178,7 @@ def variety_points(pres: AlgebraPresentation) -> list[dict]:
                 continue
             if values is not None:
                 got.append(dict(zip(pres.generators, values)))
-                if len(got) == 2:
+                if len(got) == 4:
                     break
     return got
 
@@ -224,25 +189,34 @@ _P = (1 << 61) - 1
 
 
 def _off_the_variety(pres: AlgebraPresentation, element: NcPoly) -> bool:
-    """Whether an element with no module variable is nonzero at one of the
-    cached points of `pres`, which proves it lies outside the ideal.
+    """Whether `element` is nonzero at one of the cached points of `pres`,
+    which proves it lies outside the ideal.
 
-    Over F_q the value is computed in ints mod q. Over QQ it is computed in
-    ints mod _P, the image of the rational value under the ring map from the
-    rationals with denominators prime to _P onto F_P: a nonzero image proves
-    a nonzero value, and a zero one only leaves the check on the ladder."""
-    if any(sy.is_module_var(s) for s in element.symbols()):
-        return False
+    Module variables stay commuting indeterminates: the terms are grouped by
+    the sorted module letters of each word, the rest of each word is
+    evaluated at the point, and the element is nonzero there if one group
+    is. No relation holds a module variable, so evaluation into F[x] is a
+    ring map that kills the ideal.
+
+    Over F_q the values are ints mod q. Over QQ they are ints mod _P, the
+    image of the rational value under the ring map from the rationals with
+    denominators prime to _P onto F_P: a nonzero image proves a nonzero
+    value, and a zero one only leaves the check on the ladder."""
     q = pres.field.q if isinstance(pres.field, PrimeField) else _P
 
     def image(v) -> int:
         return v.numerator * pow(v.denominator, -1, q) % q
 
-    terms = [(w, image(c)) for w, c in element.terms.items()]
+    groups: dict[tuple, list] = {}
+    for w, c in element.terms.items():
+        letters = tuple(sorted(s for s in w if sy.is_module_var(s)))
+        rest = tuple(s for s in w if not sy.is_module_var(s))
+        groups.setdefault(letters, []).append((rest, image(c)))
     for point in variety_points(pres):
         values = {g: image(v) for g, v in point.items()}
-        if sum(c * math.prod(map(values.__getitem__, w)) for w, c in terms) % q:
-            return True
+        for terms in groups.values():
+            if sum(c * math.prod(map(values.__getitem__, w)) for w, c in terms) % q:
+                return True
     return False
 
 
@@ -254,55 +228,48 @@ def _reduce_check(
     claim: str,
     alt=None,
 ) -> CheckResult:
-    """Reduce every element to zero, escalating the completion bound. Failure
-    requires a certified nonzero witness; otherwise the check is Inconclusive.
+    """Reduce every element to zero, escalating the completion bound.
 
     Each rung is read once, through atlas.residues: its completion runs only
     until every element reduces to zero, which is proof, and the rung is
     Verified; otherwise it runs to the end. Once the first rung leaves a
-    residue, the first nonzero element itself is evaluated at the cached
-    points of pres (variety_points). If it is nonzero at one, it lies
-    outside the ideal and can never reduce to zero, so the ladder stops: the
-    check is Failed at bound 0 with that element as its witness when the
-    seeded search certifies a point where it is nonzero, and Inconclusive at
-    its bound when not. That search answers as it would for the element's
-    top-rung residue, which takes the same value at every point. Otherwise
-    the normal forms the top rung leaves decide, the first of them being the
-    witness a Failed check certifies.
+    residue, the elements themselves are evaluated at the cached points of
+    pres (variety_points). The first that is nonzero at one lies outside the
+    ideal and can never reduce to zero: the check is Failed at bound 0 with
+    that element as its witness. Otherwise the check climbs the ladder, and
+    a residue at the top rung leaves it Inconclusive at its bound. A residue
+    takes its element's value at every point, so the top rung has nothing
+    new to test.
 
     alt is the opposite-sign variant of a single element whose displayed sign
     is in doubt. The claim then records how alt fares at the deciding rung,
-    read the same way, so alt's nonzero normal form is taken modulo the
-    complete rung; the displayed sign is never silently replaced. An alt
+    read the same way; the displayed sign is never silently replaced. An alt
     that is nonzero at a cached point cannot reduce to zero, and its rung is
     not read."""
     t0 = time.perf_counter()
     elements = list(elements)
-    first = next((e for e in elements if not e.is_zero()), None)
-    if first is None:
+    if all(e.is_zero() for e in elements):
         return CheckResult(check_id, claim, "Verified", 0, None, time.perf_counter() - t0)
-    off = False
+    witness = None
     for k, b in enumerate(_ladder(bound)):
-        left = residues(pres, elements, b)
-        if not left:
+        if not residues(pres, elements, b):
             if alt is not None:
-                alt_left = residues(pres, [alt], b)
-                if not alt_left:
+                if not residues(pres, [alt], b):
                     claim += "; both signs reduce to zero"
-                elif _certified_point(pres, alt_left[0], check_id + ":alt") is not None:
+                elif _off_the_variety(pres, alt):
                     claim += "; the displayed sign verifies and the opposite sign is nonzero at a sampled point"
                 else:
                     claim += "; the displayed sign verifies"
             return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
-        if k == 0 and _off_the_variety(pres, first):
-            off = True
-            break
+        if k == 0:
+            witness = next((e for e in elements if _off_the_variety(pres, e)), None)
+            if witness is not None:
+                break
     if alt is not None and not _off_the_variety(pres, alt) and not residues(pres, [alt], bound):
         claim += "; the opposite-sign variant reduces to zero instead"
-    witness, at = (first, 0) if off else (left[0], bound)
-    if _certified_point(pres, witness, check_id) is not None:
+    if witness is not None:
         return CheckResult(
-            check_id, claim, "Failed", at, poly_str(witness), time.perf_counter() - t0
+            check_id, claim, "Failed", 0, poly_str(witness), time.perf_counter() - t0
         )
     return CheckResult(
         check_id, claim, f"Inconclusive(bound={bound})", bound, None, time.perf_counter() - t0

@@ -17,7 +17,7 @@ from ncgrass.fields import GF, QQ, Field, check_same_field
 from ncgrass.points import ChartPoint, PointGluingError, chart_points, echelon_matrices
 from ncgrass.poly import NcPoly, Word, commutator, order_key, poly_str, word_weight
 from ncgrass.rewrite import RewriteSystem, _rank, complete
-from ncgrass.verify import CheckResult, _certified_point, _ladder, _sample
+from ncgrass.verify import CheckResult, _ladder, _sample
 
 
 def words_of_weight(generators, weight: int) -> list[Word]:
@@ -133,13 +133,12 @@ def extend_point(pres, values: dict) -> dict:
 
 
 def reference_certified_point(pres, witness, seed: str):
-    """The point search of verify._certified_point as it was written before
-    it compiled an evaluator and tested a witness with no module variable
-    before the relations: sample the free generators, evaluate the
-    definitions in order, require every relation to vanish, then sample the
-    witness's module variables and require a nonzero witness. Returns the
-    first such assignment of 100 samples, with the defined symbols' values,
-    or None."""
+    """A seeded point search, one letter at a time: sample the free
+    generators, evaluate the definitions in order, require every relation to
+    vanish, then sample the witness's module variables and require a nonzero
+    witness. Returns the first such assignment of 100 samples, with the
+    defined symbols' values, or None. It compiles nothing and reads no cached
+    point, so a point it returns certifies a Failed witness independently."""
     field = pres.field
     rng = random.Random("ncgrass:" + seed)
     defined = {sid for sid, _, _ in pres.definitions}
@@ -249,8 +248,10 @@ def reference_transport_table(lam, lam2, q: int) -> tuple:
 
 def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> CheckResult:
     """verify._reduce_check as it was written before it read each rung
-    through atlas.residues: each rung of the ladder is completed in full
-    before any element, or a sign-doubt check's alt, is reduced."""
+    through atlas.residues and before it read cached points: each rung of
+    the ladder is completed in full before any element, or a sign-doubt
+    check's alt, is reduced, and the top rung's first residue is Failed at
+    that rung when `reference_certified_point` finds a point for it."""
     t0 = time.perf_counter()
     elements = list(elements)
     if all(e.is_zero() for e in elements):
@@ -265,14 +266,14 @@ def eager_reduce_check(pres, elements, bound, check_id, claim, alt=None) -> Chec
                 alt_nf = system.normal_form(alt, b)
                 if alt_nf.is_zero():
                     claim += "; both signs reduce to zero"
-                elif _certified_point(pres, alt_nf, check_id + ":alt") is not None:
+                elif reference_certified_point(pres, alt_nf, check_id + ":alt") is not None:
                     claim += "; the displayed sign verifies and the opposite sign is nonzero at a sampled point"
                 else:
                     claim += "; the displayed sign verifies"
             return CheckResult(check_id, claim, "Verified", b, None, time.perf_counter() - t0)
     if alt is not None and system.normal_form(alt, bound).is_zero():
         claim += "; the opposite-sign variant reduces to zero instead"
-    point = _certified_point(pres, nonzero, check_id)
+    point = reference_certified_point(pres, nonzero, check_id)
     if point is not None:
         return CheckResult(
             check_id, claim, "Failed", bound, poly_str(nonzero), time.perf_counter() - t0

@@ -130,21 +130,30 @@ def test_module_gluing_disjoint_pair():
 
 
 # sha256 over (check_id, outcome, bound, witness, claim) of module gluing at
-# bound 6 for the canonical formulas and the 18 sign mutants, recorded while
-# base-chart module relations were rewrite rules of the completed system
-MODULE_GLUING_B6_DIGEST = "24c2f43873db62f72a2e81739cba9c890ea69a9e8830ede8ee3a8adbabf33e1c"
+# bound 6 for the canonical formulas and the 18 sign mutants, recorded once
+# the cached points decided its Failed checks at bound 0 with the element
+MODULE_GLUING_B6_DIGEST = "01e8b52deace3771634c39883ce555d5a0bb0505c4e4a58724ef05751a71afe9"
+
+# sha256 over (check_id, outcome, claim) of the same rows, recorded while the
+# top rung's residue was the witness of a Failed module check
+MODULE_GLUING_B6_OUTCOMES_DIGEST = "3d6ecdc97a25ebe4e6b388acff374aca4520c3ef30258dd90da18bb08e4f96a8"
+
+
+def _module_gluing_sweep(bound):
+    """Module gluing on every ordered pair for the canonical formulas and
+    the 18 sign mutants, in sign_sites order."""
+    sweep = [atlas.CANONICAL] + [atlas.flip_sign(atlas.CANONICAL, s) for s in atlas.sign_sites()]
+    return [r for formulas in sweep for r in verify.suite_module_gluing(bound, formulas=formulas)]
 
 
 def test_module_gluing_matches_the_recorded_digest():
-    digest = hashlib.sha256()
-    sweep = [atlas.CANONICAL] + [atlas.flip_sign(atlas.CANONICAL, s) for s in atlas.sign_sites()]
-    rows = 0
-    for formulas in sweep:
-        for r in verify.suite_module_gluing(bound=6, formulas=formulas):
-            row = [r.check_id, r.outcome, r.bound, r.witness, r.claim]
-            digest.update(json.dumps(row).encode() + b"\n")
-            rows += 1
-    assert rows == 19 * 60
+    digest, outcomes = hashlib.sha256(), hashlib.sha256()
+    rows = _module_gluing_sweep(6)
+    for r in rows:
+        digest.update(json.dumps([r.check_id, r.outcome, r.bound, r.witness, r.claim]).encode() + b"\n")
+        outcomes.update(json.dumps([r.check_id, r.outcome, r.claim]).encode() + b"\n")
+    assert len(rows) == 19 * 60
+    assert outcomes.hexdigest() == MODULE_GLUING_B6_OUTCOMES_DIGEST
     assert digest.hexdigest() == MODULE_GLUING_B6_DIGEST
 
 
@@ -270,8 +279,12 @@ def test_flipped_sign_fails_module_gluing_with_a_certified_witness():
     mutated = atlas.flip_sign(atlas.CANONICAL, site)
     entries = verify.verify_module_gluing((1, 2), (2, 3), bound=6, formulas=mutated)
     failed = [(r.check_id, r.witness) for r in entries if r.failed]
+    # the element itself, not its residue: a(1,2;1,3)^-1*a(1,2;1,3) stays
     assert failed == [
-        ("module(1,2|2,3):x(1)", "2*a(1,2;1,3)^-1*a(1,2;2,3)*x(2) + 2*x(1)")
+        (
+            "module(1,2|2,3):x(1)",
+            "a(1,2;1,3)^-1*a(1,2;1,3)*x(1) + 2*a(1,2;1,3)^-1*a(1,2;2,3)*x(2) + x(1)",
+        )
     ]
 
 
@@ -285,65 +298,6 @@ def test_failed_sign_check_notes_the_opposite_sign():
     assert a41.failed
     assert a41.witness
     assert a41.claim.endswith("; the opposite-sign variant reduces to zero instead")
-
-
-def _point_searches(monkeypatch, scenario):
-    """(presentation, witness, seed, returned point) of every
-    _certified_point call that scenario() makes."""
-    calls = []
-    search = verify._certified_point
-
-    def recorded(pres, witness, seed):
-        got = search(pres, witness, seed)
-        calls.append((pres, witness, seed, got))
-        return got
-
-    monkeypatch.setattr(verify, "_certified_point", recorded)
-    scenario()
-    monkeypatch.undo()
-    return calls
-
-
-def _module_gluing_mutant():
-    site = ("adjacent_to_base", ("a", 1, 3, 1), 0)
-    mutated = atlas.flip_sign(atlas.CANONICAL, site)
-    return verify.verify_module_gluing((1, 2), (2, 3), bound=6, formulas=mutated)
-
-
-def _lemma_mutant():
-    site = ("disjoint_to_base", ("a", 1, 4, 1), 0)
-    mutated = atlas.flip_sign(atlas.CANONICAL, site)
-    return verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 8, QQ, mutated)
-
-
-def _inconclusive_cocycle():
-    return verify.verify_cocycle((1, 2), (1, 3), (2, 4), bound=4)
-
-
-@pytest.mark.parametrize(
-    "scenario, module_vars, certified",
-    [
-        (_module_gluing_mutant, True, True),  # Failed, the witness holds x(2)
-        (_lemma_mutant, False, True),  # Failed, with the opposite-sign note
-        (_inconclusive_cocycle, False, False),  # Inconclusive at bound 4
-    ],
-)
-def test_point_search_returns_the_reference_search_point(
-    monkeypatch, scenario, module_vars, certified
-):
-    calls = _point_searches(monkeypatch, scenario)
-    assert calls
-    for pres, witness, seed, got in calls:
-        want = reference_certified_point(pres, witness, seed)
-        assert (got is None) == (want is None), seed
-        # the search returns the sampled values; the reference adds the
-        # defined symbols' values to them
-        assert got is None or got == {s: want[s] for s in got}, seed
-        assert got is None or len(want) == len(got) + len(pres.definitions), seed
-    assert any(
-        any(sy.is_module_var(s) for s in witness.symbols()) for _, witness, _, _ in calls
-    ) == module_vars
-    assert any(got is not None for *_, got in calls) == certified
 
 
 def test_check_result_serialization():
@@ -412,15 +366,15 @@ def _eager_and_lazy_rows(monkeypatch, run):
     return eager, lazy
 
 
-def _mutant_suites(bound):
+def _mutant_suites(bound, field=QQ):
     """The targeted suites of the mutation sweep on each of the 18 sign
     mutants, in sign_sites order."""
     entries = []
     for site in atlas.sign_sites():
         mutated = atlas.flip_sign(atlas.CANONICAL, site)
-        entries += verify.verify_adjacent_substitution((1, 2), (2, 3), bound, formulas=mutated)
-        entries += verify.verify_adjacent_substitution((2, 3), (1, 2), bound, formulas=mutated)
-        entries += verify._lemma_direction(((1, 2), (2, 3), (3, 4)), bound, QQ, mutated)
+        entries += verify.verify_adjacent_substitution((1, 2), (2, 3), bound, field, mutated)
+        entries += verify.verify_adjacent_substitution((2, 3), (1, 2), bound, field, mutated)
+        entries += verify._lemma_direction(((1, 2), (2, 3), (3, 4)), bound, field, mutated)
     return entries
 
 
@@ -440,6 +394,29 @@ def _recorded_checks(monkeypatch):
     return calls
 
 
+def _certified_witness(pres, elements, result):
+    """Check that a Failed result's witness is an element of the check, and
+    that the reference point search finds a point where it is nonzero."""
+    element = next(e for e in elements if poly_str(e) == result.witness)
+    point = reference_certified_point(pres, element, result.check_id)
+    assert point is not None, result.check_id
+    assert not pres.field.is_zero(evaluate(element, point)), result.check_id
+
+
+def _assert_the_eager_rows_but_failed(eager, lazy, checks):
+    """Every lazy row keeps its eager row's id, outcome and claim, and a row
+    that did not fail is the eager row. A Failed row reads bound 0, and its
+    witness is an element of the check that a reference point certifies."""
+    for want, got, (pres, elements, result) in zip(eager, lazy, checks):
+        cid, outcome, _, _, claim = got
+        assert (cid, outcome, claim) == (want[0], want[1], want[4])
+        if outcome != "Failed":
+            assert got == want
+            continue
+        assert got[2] == 0, cid
+        _certified_witness(pres, elements, result)
+
+
 def test_lazy_ladder_gives_the_eager_rows_on_the_sign_mutants(monkeypatch):
     # the targeted suites of the mutation sweep at bound 12. The eager ladder
     # reads every rung up to the top; the lazy driver stops a check whose
@@ -453,16 +430,60 @@ def test_lazy_ladder_gives_the_eager_rows_on_the_sign_mutants(monkeypatch):
         "Failed": 76,
         "Inconclusive(bound=12)": 14,
     }
-    for want, got, (pres, elements, _) in zip(eager, lazy, checks):
-        cid, outcome, _, _, claim = got
-        assert (cid, outcome, claim) == (want[0], want[1], want[4])
-        if outcome != "Failed":
-            assert got == want
-            continue
-        element = next(e for e in elements if not e.is_zero())
-        assert got[2:4] == (0, poly_str(element)), cid
-        point = reference_certified_point(pres, element, cid)
-        assert point is not None and evaluate(element, point) != 0, cid
+    _assert_the_eager_rows_but_failed(eager, lazy, checks)
+    # each witness is its check's first nonzero element
+    for pres, elements, r in checks:
+        if r.failed:
+            assert r.witness == poly_str(next(e for e in elements if not e.is_zero()))
+
+
+def test_lazy_ladder_gives_the_eager_rows_on_module_gluing(monkeypatch):
+    # module gluing at bound 6 for the canonical formulas and the 18 sign
+    # mutants. The eager ladder's witness is the top rung's residue; the
+    # cached points test the element itself, module variables and all
+    checks = _recorded_checks(monkeypatch)
+    eager, lazy = _eager_and_lazy_rows(monkeypatch, lambda: _module_gluing_sweep(6))
+    assert len(eager) == len(lazy) == len(checks) == 19 * 60
+    assert Counter(row[1] for row in eager) == {"Verified": 1020, "Failed": 120}
+    _assert_the_eager_rows_but_failed(eager, lazy, checks)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_the_cached_points_decide_every_failed_check_over_a_small_field(monkeypatch, q):
+    # the targeted suites at bound 8 over F_3 and F_5, where a sampled point
+    # is likelier to miss: two points per presentation leave 16 of these
+    # Failed checks over F_3, and 2 over F_5, Inconclusive at the top rung
+    checks = _recorded_checks(monkeypatch)
+    atlas.clear_caches()
+    entries = _mutant_suites(8, GF(q))
+    atlas.clear_caches()
+    assert Counter(r.outcome for r in entries) == {
+        "Verified": 378,
+        "Failed": 76,
+        "Inconclusive(bound=8)": 14,
+    }
+    failed = [(pres, elements, r) for pres, elements, r in checks if r.failed]
+    assert len(failed) == 76
+    for pres, elements, r in failed:
+        assert r.bound == 0, r.check_id
+        _certified_witness(pres, elements, r)
+
+
+def test_module_variables_stay_commuting_indeterminates_at_the_points():
+    # a module variable commutes with every generator and with the other
+    # module variables, and no relation holds one: each group of terms with
+    # the same module letters is evaluated on its own
+    atlas.clear_caches()
+    pres = atlas.pair_overlap((1, 2), (2, 3)).presentation
+    g = NcPoly.gen(QQ, pres.generators[0])
+    x1, x2 = (NcPoly.gen(QQ, sy.module_var(j)) for j in (1, 2))
+    assert not verify._off_the_variety(pres, x1 * g - g * x1)
+    assert not verify._off_the_variety(pres, x1 * x2 - x2 * x1)
+    # g is an inverted pivot, so it is nonzero at every point
+    assert all(point[pres.generators[0]] != 0 for point in verify.variety_points(pres))
+    assert verify._off_the_variety(pres, g * x1)
+    assert verify._off_the_variety(pres, x1 - x2)
+    atlas.clear_caches()
 
 
 def test_lazy_ladder_gives_the_eager_rows_with_the_suites_reversed(monkeypatch):
@@ -547,7 +568,7 @@ def test_every_cached_point_is_a_point_of_its_presentation(monkeypatch, field):
     for pres in presentations:
         classes.setdefault(pres.key(), set()).add(pres.generators)
         points = verify.variety_points(pres)
-        assert len(points) == 2, pres.name
+        assert len(points) == 4, pres.name
         defined = {sid for sid, _, _ in pres.definitions}
         for point in points:
             assert set(point) == set(pres.generators), pres.name
