@@ -301,14 +301,14 @@ def test_failed_sign_check_notes_the_opposite_sign():
 
 
 def test_check_result_serialization():
-    r = CheckResult("id:x", "claim text", "Verified", 4, None, 0.123)
+    r = CheckResult("id:x", "claim text", "Verified", 4, None)
     d = r.as_dict()
     assert d == {"id": "id:x", "claim": "claim text", "outcome": "Verified", "bound": 4, "witness": None}
     assert "elapsed" not in d
 
 
 def test_report_status_and_sorting():
-    mk = lambda cid, outcome: CheckResult(cid, "c", outcome, 4, None, 0.0)
+    mk = lambda cid, outcome: CheckResult(cid, "c", outcome, 4, None)
     rep = VerificationReport([mk("b", "Verified"), mk("a", "Verified")], 4, "rat")
     assert [r.check_id for r in rep.results] == ["a", "b"]
     assert rep.status == 0
@@ -578,6 +578,73 @@ def test_every_cached_point_is_a_point_of_its_presentation(monkeypatch, field):
             assert not any(field.is_zero(evaluate(u, point)) for u in pres.inverted), pres.name
     assert any(len(members) > 1 for members in classes.values())
     atlas.clear_caches()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_cached_points_are_distinct_over_a_small_field(monkeypatch, q):
+    # over F_2 and F_3 the first valid samples of the seed often repeat a
+    # point; a repeat is skipped, so each presentation a check reads keeps
+    # four pairwise distinct points
+    checks = _recorded_checks(monkeypatch)
+    atlas.clear_caches()
+    verify.run_all(6, GF(q))
+    presentations = {id(pres): pres for pres, _, _ in checks}.values()
+    for pres in presentations:
+        points = verify.variety_points(pres)
+        assert len(points) == 4, pres.name
+        assert all(p != p2 for p, p2 in combinations(points, 2)), pres.name
+    atlas.clear_caches()
+
+
+def _unreduced_checks(monkeypatch):
+    """check id -> (presentation, elements) of every _reduce_check call from
+    now on; each is reported Verified without reducing."""
+    checks = {}
+
+    def record(pres, elements, bound, check_id, claim, alt=None):
+        checks[check_id] = (pres, list(elements))
+        return CheckResult(check_id, claim, "Verified", 0)
+
+    monkeypatch.setattr(verify, "_reduce_check", record)
+    return checks
+
+
+def test_the_lemma_cocycle_and_functoriality_suites_state_one_identity(monkeypatch):
+    # three suites state the composite-equals-direct identity of a chain;
+    # pinned here, so that the suites cannot drift apart
+    checks = _unreduced_checks(monkeypatch)
+    atlas.clear_caches()
+    verify.verify_disjoint_lemma()
+    verify.suite_cocycle()
+    verify.verify_functoriality()
+    atlas.clear_caches()
+
+    def rows(prefix):
+        return [(p.key(), els) for cid, (p, els) in checks.items() if cid.startswith(prefix)]
+
+    # the lemma's forward closed forms are the cocycle checks of its chain
+    closed_forms = rows("lemma(1,2|2,3|3,4):closed-form:")
+    assert len(closed_forms) == 4
+    assert closed_forms == rows("cocycle(1,2|2,3|3,4):")
+
+    # each cocycle check is, up to sign, the functoriality check of its far
+    # chart through the pair of its end charts
+    def up_to_sign(elements):
+        return {frozenset((e, -e)) for e in elements if not e.is_zero()}
+
+    triples = [atlas.triple_ordering(c) for c in combinations(atlas.all_charts(), 3)]
+    for t in triples:
+        base, far = t[0], t[-1]
+        cocycle = [e for _, els in rows(f"cocycle{verify._chain_tag(t)}:") for e in els]
+        assert len(cocycle) == 4
+        names = (atlas.PosetIndex.of(*c).name for c in ((far,), (base, far), t))
+        _, residuals = checks["functor:" + "<".join(names)]
+        assert up_to_sign(cocycle) == up_to_sign(residuals), t
+
+    # and most functoriality checks hold before any reduction
+    functor = [els for cid, (_, els) in checks.items() if cid.startswith("functor:")]
+    assert len(functor) == 120
+    assert sum(all(e.is_zero() for e in els) for els in functor) == 94
 
 
 def test_every_verified_element_vanishes_at_the_cached_points(monkeypatch):
