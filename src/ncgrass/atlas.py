@@ -55,6 +55,16 @@ def chart_entries(lam: Chart) -> tuple:
     return tuple(sy.entry(lam, i, j) for i in lam for j in outside(lam))
 
 
+def chart_name(c: Chart) -> str:
+    """The name of a chart algebra: R(i,j)."""
+    return f"R({sy.chart_label(c)})"
+
+
+def overlap_tag(charts) -> str:
+    """The charts of an overlap as its name writes them: (i,j|k,l|...)."""
+    return "(" + "|".join(map(sy.chart_label, charts)) + ")"
+
+
 def overlap_type(lam, lam2) -> str:
     lam = validate_chart(lam)
     lam2 = validate_chart(lam2)
@@ -183,7 +193,7 @@ class AlgebraPresentation:
         own.ends, own.collapsed = list(system.ends), system.collapsed
         return own
 
-    def evaluator(self, field: Field, inputs, outputs, nonzero=(), zero=()):
+    def evaluator(self, field: Field, inputs, outputs, zero=()):
         """One straight-line Python function of the values of `inputs` (the
         generators no definition sets, in generator order, then any extra
         symbols such as module variables) that returns the `outputs`' values
@@ -191,10 +201,10 @@ class AlgebraPresentation:
         mod q over F_q, ints and Fractions over QQ.
 
         It returns None where an element of `inverted` vanishes, tested once
-        its symbols are set, then where one of `nonzero` vanishes or one of
-        `zero` does not. Definitions are assigned in order, and an inverse of
-        zero past those tests raises ZeroDivisionError. The source holds only
-        slot numbers, int literals and names bound in its namespace."""
+        its symbols are set, then where one of `zero` does not vanish.
+        Definitions are assigned in order, and an inverse of zero past those
+        tests raises ZeroDivisionError. The source holds only slot numbers,
+        int literals and names bound in its namespace."""
         f = field
         mod, namespace = "", {"inv": f.inv}
         if isinstance(f, PrimeField):
@@ -231,7 +241,7 @@ class AlgebraPresentation:
             k = slot[sid] = len(slot)
             body.append(f"v{k} = inv({value})" if as_inv else f"v{k} = {value}")
             guard_set_elements()
-        body += [f"if not {expr(u)}: return None" for u in waiting + list(nonzero)]
+        body += [f"if not {expr(u)}: return None" for u in waiting]
         body += [f"if {expr(r)}: return None" for r in zero]
         body.append(f"return ({''.join(expr(p) + ', ' for p in outputs)})")
         args = ", ".join(f"v{k}" for k in range(len(inputs)))
@@ -344,7 +354,7 @@ def chart_presentation(lam, field: Field = QQ, with_module: bool = False) -> Alg
     gens = chart_entries(lam)
     rels = tuple(chart_relations(lam, field))
     mods = tuple(sy.module_var(k) for k in range(1, 5)) if with_module else ()
-    name = ("F" if with_module else "R") + "(" + ",".join(map(str, lam)) + ")"
+    name = f"F({sy.chart_label(lam)})" if with_module else chart_name(lam)
     return AlgebraPresentation(
         name=name,
         field=field,
@@ -390,10 +400,6 @@ ADJACENT_FROM_BASE = {
     ),
 }
 
-ADJACENT_FROM_BASE_EXTRA = {
-    ("ainv", 0, 1, 3): ((1, (("a", 1, 3, 1),)),),
-}
-
 DISJOINT_TO_BASE = {
     ("a", 1, 3, 1): ((1, (("dinv", 0), ("a", 0, 2, 4))),),
     ("a", 1, 3, 2): ((-1, (("dinv", 0), ("a", 0, 1, 4))),),
@@ -411,11 +417,6 @@ DISJOINT_FROM_BASE = {
     ("a", 0, 1, 4): ((-1, (("dinv", 1), ("a", 1, 3, 2))),),
     ("a", 0, 2, 3): ((-1, (("dinv", 1), ("a", 1, 4, 1))),),
     ("a", 0, 2, 4): ((1, (("dinv", 1), ("a", 1, 3, 1))),),
-}
-
-DISJOINT_FROM_BASE_EXTRA = {
-    ("d", 0): ((1, (("dinv", 1),)),),
-    ("dinv", 0): ((1, (("d", 1),)),),
 }
 
 
@@ -535,7 +536,7 @@ class OverlapPair:
     kind: str
     presentation: AlgebraPresentation
     to_base: Hom  # far-chart symbols -> base-localization elements
-    from_base: Hom  # base symbols -> far-chart expressions
+    from_base: Hom  # base entries -> far-chart expressions
     sigma: dict
 
 
@@ -555,7 +556,7 @@ def adjacent_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
     gens = chart_entries(lam)
     piv_poly = NcPoly.gen(field, piv)
     pres = AlgebraPresentation(
-        name=f"O({lam[0]},{lam[1]}|{lam2[0]},{lam2[1]})",
+        name="O" + overlap_tag((lam, lam2)),
         field=field,
         base_chart=lam,
         generators=gens + (piv_inv,),
@@ -565,7 +566,7 @@ def adjacent_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
         inverted=(piv_poly,),
     )
     to_table = {**formulas.group("adjacent_to_base"), **ADJACENT_TO_BASE_EXTRA}
-    from_table = {**formulas.group("adjacent_from_base"), **ADJACENT_FROM_BASE_EXTRA}
+    from_table = formulas.group("adjacent_from_base")
     to_base = Hom(field, _materialize(to_table, sigma, lam, lam2, field))
     from_base = Hom(field, _materialize(from_table, sigma, lam, lam2, field))
     return OverlapPair(lam, lam2, "adjacent", pres, to_base, from_base, sigma)
@@ -596,7 +597,7 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
     subst = tuple(NcPoly.gen(field, s) - img for s, img in to_map.items())
     subst += tuple(NcPoly.gen(field, s) - img for s, img in from_map.items())
     pres = AlgebraPresentation(
-        name=f"O({lam[0]},{lam[1]}|{lam2[0]},{lam2[1]})",
+        name="O" + overlap_tag((lam, lam2)),
         field=field,
         base_chart=lam,
         generators=gens + gens2 + (dsym, dinv, d2sym, d2inv),
@@ -611,9 +612,8 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
         inverted=(det_elt,),
     )
     to_extra = _materialize(DISJOINT_TO_BASE_EXTRA, sigma, lam, lam2, field)
-    from_extra = _materialize(DISJOINT_FROM_BASE_EXTRA, sigma, lam, lam2, field)
     to_base = Hom(field, {**to_map, **to_extra})
-    from_base = Hom(field, {**from_map, **from_extra})
+    from_base = Hom(field, from_map)
     return OverlapPair(lam, lam2, "disjoint", pres, to_base, from_base, sigma)
 
 
@@ -809,10 +809,7 @@ def _build_chain(charts: tuple, field: Field, formulas: FormulaSet) -> ChainOver
             for rel in chart_relations(nxt, field):
                 comm.append(phi_next.apply(rel))
             for s, img in hop.from_base.mapping.items():
-                if sy.sym(s).kind == sy.ENTRY:
-                    def_rels.append(
-                        phi_prev.apply(NcPoly.gen(field, s)) - phi_next.apply(img)
-                    )
+                def_rels.append(phi_prev.apply(NcPoly.gen(field, s)) - phi_next.apply(img))
         homs[nxt] = phi_next
         prev = nxt
     for c in charts[2:]:
@@ -820,7 +817,7 @@ def _build_chain(charts: tuple, field: Field, formulas: FormulaSet) -> ChainOver
             letter_inverse(pivot_entry(base, c))
 
     pres = AlgebraPresentation(
-        name="O(" + "|".join(f"{c[0]},{c[1]}" for c in charts) + ")",
+        name="O" + overlap_tag(charts),
         field=field,
         base_chart=base,
         generators=tuple(gens),
@@ -845,8 +842,6 @@ def triple_ordering(charts) -> tuple:
     ]
     if not disjoint:
         return tuple(charts)
-    if len(disjoint) > 1:
-        raise ValueError("no chart is adjacent to both ends of two disjoint pairs")
     a, b = disjoint[0]
     middle = next(c for c in charts if c not in (a, b))
     return (a, middle, b)
@@ -875,9 +870,8 @@ class PosetIndex:
     @property
     def name(self) -> str:
         if self.is_maximal:
-            c = self.charts[0]
-            return f"R({c[0]},{c[1]})"
-        return "min(" + "/".join(f"{c[0]},{c[1]}" for c in self.charts) + ")"
+            return chart_name(self.charts[0])
+        return "min(" + "/".join(map(sy.chart_label, self.charts)) + ")"
 
 
 @dataclass

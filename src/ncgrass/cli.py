@@ -233,21 +233,22 @@ def _export_doc(what: str, field: Field):
             ]
         }
     if what == "transitions":
-        name = lambda c: atlas.PosetIndex.of(c).name
         rows = []
         for a, b in permutations(charts, 2):
             pair = atlas.pair_overlap(a, b, field)
             images = {
                 sy.sym_name(g): poly_str(pair.to_base.mapping[g]) for g in atlas.chart_entries(b)
             }
-            rows.append({"source": name(a), "target": name(b), "images": images})
+            rows.append(
+                {"source": atlas.chart_name(a), "target": atlas.chart_name(b), "images": images}
+            )
         return {"transitions": rows}
     ps = atlas.build_presheaf(field)
     order = lambda ix: (len(ix.charts), ix.charts)
     nodes = [
         {
             "name": ix.name,
-            "charts": [f"{c[0]},{c[1]}" for c in ix.charts],
+            "charts": [sy.chart_label(c) for c in ix.charts],
             "presentation": ps.nodes[ix].name,
         }
         for ix in sorted(ps.nodes, key=order)

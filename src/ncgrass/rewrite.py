@@ -74,8 +74,10 @@ class RewriteSystem:
     word normal forms. Rule order matters: it is the reduction tie-break.
 
     complete grows the list in place. Rung c, the completion at bound c, is
-    the first ends[c] rules, and normal_form(p, c) reduces modulo them. A
-    rung a request stopped at keeps its memo of word normal forms."""
+    the first ends[c] rules, and normal_form(p, c) reduces modulo them. Each
+    rule count read keeps a memo of word normal forms. Adding a rule drops
+    the memo at the count before it; a memo that a read makes at a lower
+    count stays, and stays valid, since the rules only grow."""
 
     def __init__(self, field: Field, rules: list[RewriteRule] | None = None):
         self.field = field
@@ -92,8 +94,6 @@ class RewriteSystem:
         self._trie: dict = {}
         # rule count -> memo of word normal forms modulo that many rules
         self._memos: dict[int, dict] = {}
-        # the ends of the rungs complete was asked for, whose memos are kept
-        self._kept: set[int] = set()
         for r in rules or []:
             self._add_rule(r)
 
@@ -102,15 +102,14 @@ class RewriteSystem:
         return bound < len(self.ends) or self.collapsed
 
     def _add_rule(self, rule: RewriteRule) -> None:
-        """Append a rule, dropping the memo of the rules before unless kept."""
+        """Append a rule, dropping the memo of the rules before."""
         n = len(self.rules)
         node = self._trie
         for s in rule.lhs:
             node = node.setdefault(s, {})
         node.setdefault(_END, n)
         self.rules.append(rule)
-        if n not in self._kept:
-            self._memos.pop(n, None)
+        self._memos.pop(n, None)
 
     # reduction
 
@@ -288,8 +287,6 @@ def complete(system: RewriteSystem, bound: int, until=None) -> RewriteSystem:
                 return s
         else:
             s.pending = None
-    if bound < len(s.ends):
-        s._kept.add(s.ends[bound])
     return s
 
 

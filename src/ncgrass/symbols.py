@@ -15,7 +15,7 @@ quasi-determinant kinds weigh 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODULE_VAR = 0
 ENTRY = 1
@@ -42,7 +42,6 @@ class Symbol:
     chart2: tuple[int, ...] | None
     weight: int
     name: str
-    key: tuple = field(compare=False)
 
     def __repr__(self):
         return self.name
@@ -66,16 +65,16 @@ def _register(kind, chart, i, j, chart2, weight, name) -> int:
     if got is not None:
         return got.sid
     sid = len(_by_id)
-    key = (kind, _chart_key(chart), i or 0, j or 0, _chart_key(chart2))
-    s = Symbol(sid, kind, chart, i, j, chart2, weight, name, key)
+    s = Symbol(sid, kind, chart, i, j, chart2, weight, name)
     _registry[desc] = s
     _by_id.append(s)
     WEIGHT.append(weight)
-    KEY.append(key)
+    KEY.append((kind, _chart_key(chart), i or 0, j or 0, _chart_key(chart2)))
     return sid
 
 
-def _fmt_chart(c: tuple[int, ...]) -> str:
+def chart_label(c: tuple[int, ...]) -> str:
+    """A chart's indices as written in every name: "i,j"."""
     return ",".join(str(v) for v in c)
 
 
@@ -85,7 +84,7 @@ def entry(chart, i: int, j: int) -> int:
         raise ValueError(f"row index {i} not in chart {chart}")
     if j in chart:
         raise ValueError(f"column index {j} lies in chart {chart}")
-    name = f"a({_fmt_chart(chart)};{i},{j})"
+    name = f"a({chart_label(chart)};{i},{j})"
     return _register(ENTRY, chart, i, j, None, 1, name)
 
 
@@ -93,7 +92,7 @@ def entry_inverse(chart, i: int, j: int) -> int:
     chart = tuple(sorted(chart))
     if i not in chart or j in chart:
         raise ValueError(f"bad entry indices ({i},{j}) for chart {chart}")
-    name = f"a({_fmt_chart(chart)};{i},{j})^-1"
+    name = f"a({chart_label(chart)};{i},{j})^-1"
     return _register(ENTRY_INV, chart, i, j, None, 1, name)
 
 
@@ -102,7 +101,7 @@ def quasi_det(chart, chart2) -> int:
     chart2 = tuple(sorted(chart2))
     if set(chart) & set(chart2):
         raise ValueError(f"quasi-determinant needs disjoint charts, got {chart}, {chart2}")
-    name = f"d({_fmt_chart(chart)}|{_fmt_chart(chart2)})"
+    name = f"d({chart_label(chart)}|{chart_label(chart2)})"
     return _register(QUASI_DET, chart, None, None, chart2, 2, name)
 
 
@@ -111,7 +110,7 @@ def quasi_det_inverse(chart, chart2) -> int:
     chart2 = tuple(sorted(chart2))
     if set(chart) & set(chart2):
         raise ValueError(f"quasi-determinant needs disjoint charts, got {chart}, {chart2}")
-    name = f"d({_fmt_chart(chart)}|{_fmt_chart(chart2)})^-1"
+    name = f"d({chart_label(chart)}|{chart_label(chart2)})^-1"
     return _register(QUASI_DET_INV, chart, None, None, chart2, 2, name)
 
 

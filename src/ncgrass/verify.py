@@ -47,12 +47,14 @@ from .atlas import (
     all_charts,
     build_presheaf,
     chart_entries,
+    chart_name,
     chart_relations,
     disjoint_sigma,
     eliminate_module_vars,
     new_cache,
     outside,
     overlap_chain,
+    overlap_tag,
     overlap_type,
     pair_overlap,
     pair_to_chain_hom,
@@ -156,7 +158,7 @@ def _sample(field: Field, rng: random.Random):
 # (pres.name, pres.key()) -> up to four distinct points of the presented
 # variety, each an assignment of every generator: the first valid samples of
 # one fixed seed, found the first time a check of the presentation leaves a
-# residue.
+# residue or has a sign-doubt alt to test.
 # The name keeps the members of one renaming class apart, and the key a
 # mutant from the canonical presentation of its name.
 _points_cache = new_cache()
@@ -251,10 +253,10 @@ def _reduce_check(
     new to test.
 
     alt is the opposite-sign variant of a single element whose displayed sign
-    is in doubt. The claim then records how alt fares at the deciding rung,
-    read the same way; the displayed sign is never silently replaced. An alt
-    that is nonzero at a cached point cannot reduce to zero, and its rung is
-    not read."""
+    is in doubt. The claim then records how alt fares at the deciding rung;
+    the displayed sign is never silently replaced. The points are asked
+    first: an alt that is nonzero at a cached point cannot reduce to zero,
+    and its rung is not read. Otherwise the rung is read the same way."""
     elements = list(elements)
     if all(e.is_zero() for e in elements):
         return CheckResult(check_id, claim, "Verified", 0)
@@ -262,10 +264,10 @@ def _reduce_check(
     for k, b in enumerate(_ladder(bound)):
         if not residues(pres, elements, b):
             if alt is not None:
-                if not residues(pres, [alt], b):
-                    claim += "; both signs reduce to zero"
-                elif _off_the_variety(pres, alt):
+                if _off_the_variety(pres, alt):
                     claim += "; the displayed sign verifies and the opposite sign is nonzero at a sampled point"
+                elif not residues(pres, [alt], b):
+                    claim += "; both signs reduce to zero"
                 else:
                     claim += "; the displayed sign verifies"
             return CheckResult(check_id, claim, "Verified", b)
@@ -322,22 +324,6 @@ def _set_str(polys) -> str:
 
 
 # ---------------------------------------------------------------------------
-# naming
-
-
-def _cn(c) -> str:
-    return ",".join(str(i) for i in c)
-
-
-def _pair_tag(lam, lam2) -> str:
-    return f"({_cn(lam)}|{_cn(lam2)})"
-
-
-def _chain_tag(charts) -> str:
-    return "(" + "|".join(_cn(c) for c in charts) + ")"
-
-
-# ---------------------------------------------------------------------------
 # the checks
 
 
@@ -358,11 +344,11 @@ def verify_adjacent_substitution(
     pair = pair_overlap(lam, lam2, field, formulas)
     pres = pair.presentation
     tb = pair.to_base
-    tag = _pair_tag(lam, lam2)
+    tag = overlap_tag((lam, lam2))
     rows = [
         (
             f"subst{tag}:far-rel-{k}",
-            f"defining relation {k} of R({_cn(lam2)}) maps to zero in {pres.name}",
+            f"defining relation {k} of {chart_name(lam2)} maps to zero in {pres.name}",
             [tb.apply(rel)],
         )
         for k, rel in enumerate(chart_relations(lam2, field), start=1)
@@ -410,19 +396,19 @@ def _far_images(charts, field: Field, formulas: FormulaSet = CANONICAL):
 def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> list[CheckResult]:
     chain, pair, r, images = _far_images(order, field, formulas)
     base, mid, far = chain.charts
-    tag = _chain_tag(chain.charts)
+    tag = overlap_tag(chain.charts)
     one = NcPoly.scalar(field, 1)
     det_b = quasi_det_element(base, far, field)
     d2_img = r.mapping[sy.quasi_det(far, base)]
     rows = [
         (
             f"lemma{tag}:product:d-d2",
-            f"the R({_cn(base)}) quasi-determinant times the composite image of its R({_cn(far)}) counterpart reduces to 1",
+            f"the {chart_name(base)} quasi-determinant times the composite image of its {chart_name(far)} counterpart reduces to 1",
             [det_b * d2_img - one],
         ),
         (
             f"lemma{tag}:product:d2-d",
-            f"the composite image of the R({_cn(far)}) quasi-determinant times the R({_cn(base)}) one reduces to 1",
+            f"the composite image of the {chart_name(far)} quasi-determinant times the {chart_name(base)} one reduces to 1",
             [d2_img * det_b - one],
         ),
     ]
@@ -431,8 +417,8 @@ def _lemma_direction(order, bound: int, field: Field, formulas: FormulaSet) -> l
     for e, comp, direct in images:
         cid = f"lemma{tag}:closed-form:{sy.sym_name(e)}"
         claim = (
-            f"the composite image of {sy.sym_name(e)} through R({_cn(mid)}) "
-            f"equals its direct closed form over R({_cn(base)})"
+            f"the composite image of {sy.sym_name(e)} through {chart_name(mid)} "
+            f"equals its direct closed form over {chart_name(base)}"
         )
         if e == a41:  # the one sign in doubt; its row carries the opposite sign as alt
             claim += " (the displayed sign differs from the working that derives it)"
@@ -472,7 +458,7 @@ def verify_cocycle(lam1, lam2, lam3, bound: int = 10, field: Field = QQ) -> list
     if len(set(charts)) != 3:
         raise ValueError("three distinct charts required")
     chain, _, _, images = _far_images(charts, field)
-    tag = _chain_tag(chain.charts)
+    tag = overlap_tag(chain.charts)
     rows = [
         (
             f"cocycle{tag}:{sy.sym_name(e)}",
@@ -498,12 +484,12 @@ def verify_module_gluing(
     with the base chart's module relations substituted for x(j), j outside
     the base chart, reduce to zero modulo the overlap relations."""
     lam, lam2 = tuple(sorted(lam)), tuple(sorted(lam2))
-    tag = _pair_tag(lam, lam2)
+    tag = overlap_tag((lam, lam2))
     pair = pair_overlap(lam, lam2, field, formulas)
     rows = [
         (
             f"module{tag}:x({j})",
-            f"the relation presenting x({j}) over R({_cn(lam2)}) maps to zero in the glued module over R({_cn(lam)})",
+            f"the relation presenting x({j}) over {chart_name(lam2)} maps to zero in the glued module over {chart_name(lam)}",
             [eliminate_module_vars(lam, pair.to_base.apply(rel))],
         )
         for j, rel in zip(outside(lam2), universal_module_relations(lam2, field))

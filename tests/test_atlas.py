@@ -110,8 +110,8 @@ def test_adjacent_overlap_structure():
     # to_base covers every far-chart entry
     far = [sy.entry((2, 3), i, j) for i in (2, 3) for j in (1, 4)]
     assert set(far) <= set(pair.to_base.mapping)
-    # from_base covers every base entry
-    assert set(atlas.chart_presentation((1, 2)).generators) <= set(pair.from_base.mapping)
+    # from_base maps exactly the base entries
+    assert set(pair.from_base.mapping) == set(atlas.chart_entries((1, 2)))
 
 
 def test_disjoint_overlap_structure():
@@ -125,6 +125,8 @@ def test_disjoint_overlap_structure():
     assert sy.quasi_det_inverse((1, 2), (3, 4)) in gens
     assert sy.quasi_det((3, 4), (1, 2)) in gens
     assert sy.quasi_det_inverse((3, 4), (1, 2)) in gens
+    # from_base maps exactly the base entries
+    assert set(pair.from_base.mapping) == set(atlas.chart_entries((1, 2)))
 
 
 def test_disjoint_pair_inverts_the_quasi_determinant():
@@ -189,7 +191,12 @@ def test_triple_ordering():
     # triangle triples are sorted
     order = atlas.triple_ordering(((2, 3), (1, 2), (1, 3)))
     assert order == ((1, 2), (1, 3), (2, 3))
-    assert len(list(combinations(atlas.all_charts(), 3))) == 20
+    triples = list(combinations(atlas.all_charts(), 3))
+    assert len(triples) == 20
+    # a chart's only disjoint partner is its complement
+    for t in triples:
+        pairs = combinations(t, 2)
+        assert sum(atlas.overlap_type(a, b) == "disjoint" for a, b in pairs) <= 1
 
 
 def _every_presentation():
@@ -338,7 +345,7 @@ def test_evaluator_source_reads_only_names_bound_in_its_namespace():
     x = NcPoly.gen(QQ, sy.module_var(3))
     witness = (x * NcPoly.gen(QQ, sids[-1])).scale(Fraction(1, 2))
     inputs = free + [sy.module_var(3)]
-    point = pres.evaluator(pres.field, inputs, (witness,), (witness,), pres.relations)
+    point = pres.evaluator(pres.field, inputs, (witness,), zero=pres.relations)
     names = point.__code__.co_names
     assert "inv" in names and any(n.startswith("c") for n in names)
     assert set(names) <= set(point.__globals__) - {"__builtins__"}
@@ -571,10 +578,12 @@ def _atlas_fingerprint(field):
                 yield str(e)
 
 
-# sha256 of _atlas_fingerprint over QQ, then GF(3); recorded before presheaf
-# nodes became presentations and chart presentations dropped their stored
-# module relations
-ATLAS_FINGERPRINT_DIGEST = "41958e91c782673ad80f4217fe302b667842acae39b9c07802e55f97de653d03"
+# sha256 of _atlas_fingerprint over QQ, then GF(3). Re-recorded when each
+# from_base came to map only the base entries: the value equals the previous
+# engine's fingerprint with every from_base restricted to its base-entry
+# images, so every presentation, to_base, chain hom and pair-to-chain
+# restriction is the one recorded before
+ATLAS_FINGERPRINT_DIGEST = "ba2bb054ab9306bd7a8cbf109baadb8661281aa4c5199a8048f84aa08a3eefa7"
 
 
 def test_every_atlas_construction_matches_the_recorded_digest():

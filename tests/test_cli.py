@@ -362,7 +362,8 @@ def test_export_matches_the_recorded_digest(capsys, target, field):
 
 # sha256 of each --json report, recorded before verify read each rung once:
 # the first three reach Inconclusive through the top rung and the F_q point
-# search, the last runs the sign-doubt checks up to rung 12
+# search; in the last, every lemma check, the two sign-doubt checks too,
+# verifies by rung 8 of 12, and a cached point decides each sign-doubt alt
 REPORT_DIGESTS = {
     ("all", "q3", "6"): "6743a5cdf2feb86eb474f070dbbdad36b6f3a54f62a27eee01e11ddf8d919a22",
     ("all", "q5", "4"): "d4d12bfaa3fd9ac94bf387c6c004ac89bfb9cd205a1d9a97bde2e57257aacf5b",

@@ -538,6 +538,33 @@ def test_reduce_check_reads_each_complete_rung_once(monkeypatch):
     atlas.clear_caches()
 
 
+def test_the_points_decide_the_sign_doubt_alt_before_any_rung_is_read(monkeypatch):
+    # in a cold forward lemma direction, the a41 row's alt is nonzero at a
+    # cached point, so no rung is read for it: every lone element that
+    # residues reads lies in the ideal
+    atlas.clear_caches()
+    reads = []
+    real = verify.residues
+
+    def recorded(pres, elements, bound):
+        elements = list(elements)
+        reads.append((pres, elements))
+        return real(pres, elements, bound)
+
+    monkeypatch.setattr(verify, "residues", recorded)
+    entries = verify._lemma_direction(((1, 2), (2, 3), (3, 4)), 10, QQ, atlas.CANONICAL)
+    assert all(r.verified for r in entries)
+    assert reads
+    for pres, elements in reads:
+        if len(elements) == 1:
+            assert not verify._off_the_variety(pres, elements[0])
+    (doubt,) = [r for r in entries if "sign differs" in r.claim]
+    assert doubt.claim.endswith(
+        "; the displayed sign verifies and the opposite sign is nonzero at a sampled point"
+    )
+    atlas.clear_caches()
+
+
 def _presentations_run_all_reads(monkeypatch, field):
     """Every presentation run_all(10, field) reads, once each: those its
     checks reduce in, here without reducing, and the presheaf's nodes."""
@@ -635,7 +662,7 @@ def test_the_lemma_cocycle_and_functoriality_suites_state_one_identity(monkeypat
     triples = [atlas.triple_ordering(c) for c in combinations(atlas.all_charts(), 3)]
     for t in triples:
         base, far = t[0], t[-1]
-        cocycle = [e for _, els in rows(f"cocycle{verify._chain_tag(t)}:") for e in els]
+        cocycle = [e for _, els in rows(f"cocycle{atlas.overlap_tag(t)}:") for e in els]
         assert len(cocycle) == 4
         names = (atlas.PosetIndex.of(*c).name for c in ((far,), (base, far), t))
         _, residuals = checks["functor:" + "<".join(names)]
