@@ -123,11 +123,12 @@ def eliminate_module_vars(lam: Chart, p: NcPoly) -> NcPoly:
 class AlgebraPresentation:
     """A localization of one chart algebra, as an explicit presentation.
 
-    definitions drive commutative evaluation (`evaluator`): entries get
-    assigned first, then each (symbol, expr, as_inverse) in order sets
-    symbol := eval(expr) or its reciprocal. inverted lists the elements whose
-    nonvanishing cuts out the overlap; one the relations make invertible, as
-    a disjoint pair's far quasi-determinant, is not listed.
+    definitions drive commutative evaluation (`evaluator`): the base chart's
+    entries get assigned first, since they fix a commutative point, then each
+    (symbol, expr, as_inverse) in order sets symbol := eval(expr) or its
+    reciprocal. inverted lists the elements whose nonvanishing cuts out the
+    overlap; one the relations make invertible, as a disjoint pair's far
+    quasi-determinant, is not listed.
     """
 
     name: str
@@ -193,25 +194,27 @@ class AlgebraPresentation:
         own.ends, own.collapsed = list(system.ends), system.collapsed
         return own
 
-    def evaluator(self, field: Field, inputs, outputs, zero=()):
-        """One straight-line Python function of the values of `inputs` (the
-        generators no definition sets, in generator order, then any extra
-        symbols such as module variables) that returns the `outputs`' values
-        as a tuple in `field`, into which each coefficient is coerced: ints
-        mod q over F_q, ints and Fractions over QQ.
+    def evaluator(self, field: Field, outputs, zero=()):
+        """One straight-line Python function of the values of the base
+        chart's entries, in chart_entries order, that returns the `outputs`'
+        values as a tuple in `field`, into which each coefficient is coerced:
+        ints mod q over F_q, ints and Fractions over QQ.
 
         It returns None where an element of `inverted` vanishes, tested once
         its symbols are set, then where one of `zero` does not vanish.
         Definitions are assigned in order, and an inverse of zero past those
         tests raises ZeroDivisionError. The source holds only slot numbers,
-        int literals and names bound in its namespace."""
+        int literals and names bound in its namespace. An inverted element
+        holding a symbol that is neither a base entry nor defined raises
+        ValueError here, before any code is compiled."""
         f = field
         mod, namespace = "", {"inv": f.inv}
         if isinstance(f, PrimeField):
             # inverses from a table; the Field is called only to raise on zero
             mod, table = f" % {f.q}", (0,) + tuple(pow(x, -1, f.q) for x in range(1, f.q))
             namespace["inv"] = lambda v: table[v] if v else f.inv(v)
-        slot = {s: k for k, s in enumerate(inputs)}
+        entries = chart_entries(self.base_chart)
+        slot = {s: k for k, s in enumerate(entries)}
 
         def expr(poly) -> str:
             terms = []
@@ -236,15 +239,17 @@ class AlgebraPresentation:
                 body.extend((f"{tested[u]} = {expr(u)}", f"if not {tested[u]}: return None"))
 
         guard_set_elements()
-        for sid, poly, as_inv in self.definitions:
+        for k, (sid, poly, as_inv) in enumerate(self.definitions, len(entries)):
             value = tested.get(poly) or expr(poly)
-            k = slot[sid] = len(slot)
+            slot[sid] = k
             body.append(f"v{k} = inv({value})" if as_inv else f"v{k} = {value}")
             guard_set_elements()
-        body += [f"if not {expr(u)}: return None" for u in waiting]
+        if waiting:
+            u = poly_str(waiting[0])
+            raise ValueError(f"{self.name} inverts {u}, which holds a symbol no point sets")
         body += [f"if {expr(r)}: return None" for r in zero]
         body.append(f"return ({''.join(expr(p) + ', ' for p in outputs)})")
-        args = ", ".join(f"v{k}" for k in range(len(inputs)))
+        args = ", ".join(f"v{k}" for k in range(len(entries)))
         exec(f"def run({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
         return namespace["run"]
 

@@ -42,6 +42,15 @@ class UnknownGeneratorError(ExprError):
     """Structurally valid text naming a symbol the context does not provide."""
 
 
+# each generator head: the separators between its indices, and the builder
+# that takes the indices in order
+_GENERATORS = {
+    "a": ((",", ";", ","), lambda l, m, i, j: sy.entry((l, m), i, j)),
+    "d": ((",", "|", ","), lambda l, m, p, q: sy.quasi_det((l, m), (p, q))),
+    "x": ((), sy.module_var),
+}
+
+
 class _Parser:
     def __init__(self, text: str, context):
         self.text = text
@@ -136,7 +145,7 @@ class _Parser:
             return p
         if ch == "-" or ch.isdigit():
             return NcPoly.scalar(self.field, self.number())
-        if ch in ("a", "d", "x"):
+        if ch in _GENERATORS:
             return self.generator()
         self.fail()
 
@@ -174,36 +183,17 @@ class _Parser:
 
     def generator(self) -> NcPoly:
         start = self.pos
-        head = self.peek()
+        separators, make = _GENERATORS[self.peek()]
         self.pos += 1
         self.take("(")
-        if head == "x":
-            k = self.digits()
-            self.take(")")
-            make = lambda: sy.module_var(k)
-        elif head == "a":
-            l = self.digits()
-            self.take(",")
-            m = self.digits()
-            self.take(";")
-            i = self.digits()
-            self.take(",")
-            j = self.digits()
-            self.take(")")
-            make = lambda: sy.entry((l, m), i, j)
-        else:
-            l = self.digits()
-            self.take(",")
-            m = self.digits()
-            self.take("|")
-            p2 = self.digits()
-            self.take(",")
-            q2 = self.digits()
-            self.take(")")
-            make = lambda: sy.quasi_det((l, m), (p2, q2))
+        indices = [self.digits()]
+        for sep in separators:
+            self.take(sep)
+            indices.append(self.digits())
+        self.take(")")
         text = self.text[start : self.pos]
         try:
-            sid = make()
+            sid = make(*indices)
         except ValueError:
             raise UnknownGeneratorError(f"unknown generator {text}") from None
         name = sy.sym_name(sid)

@@ -112,8 +112,9 @@ def transport_table(lam, lam2, q: int) -> tuple:
     chart_points(lam2, q) of the same subspace in lam2's coordinates, or None
     off the overlap. The QQ overlap's evaluator in GF(q) compiles the
     transition formulas once per table into straight-line code on ints mod
-    q, which returns the images of lam2's entries in chart_entries order,
-    read here as base-q digits. A point is off the overlap when an inverted
+    q. It takes a point's values, since lam is the overlap's base chart, and
+    returns the images of lam2's entries in chart_entries order, read here
+    as base-q digits. A point is off the overlap when an inverted
     element vanishes there; a division by zero with none of them zero raises
     PointGluingError.
     Memoized, so each point is transported to each chart once per q."""
@@ -124,7 +125,7 @@ def transport_table(lam, lam2, q: int) -> tuple:
         pair = pair_overlap(lam, lam2)
         entries = chart_entries(lam)
         images = [pair.to_base.mapping[e] for e in chart_entries(lam2)]
-        move = pair.presentation.evaluator(GF(q), entries, images)
+        move = pair.presentation.evaluator(GF(q), images)
         table = []
         try:
             for vals in product(range(q), repeat=len(entries)):

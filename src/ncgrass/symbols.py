@@ -30,6 +30,7 @@ _KIND_NAMES = {
     QUASI_DET: "quasidet",
     QUASI_DET_INV: "quasidetinverse",
 }
+_PARTNER = {ENTRY: ENTRY_INV, ENTRY_INV: ENTRY, QUASI_DET: QUASI_DET_INV, QUASI_DET_INV: QUASI_DET}
 
 
 @dataclass(frozen=True)
@@ -78,40 +79,43 @@ def chart_label(c: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in c)
 
 
-def entry(chart, i: int, j: int) -> int:
+def _entry(kind, chart, i: int, j: int) -> int:
+    """The entry a(chart; i, j) (kind ENTRY) or its inverse (ENTRY_INV)."""
     chart = tuple(sorted(chart))
     if i not in chart:
         raise ValueError(f"row index {i} not in chart {chart}")
     if j in chart:
         raise ValueError(f"column index {j} lies in chart {chart}")
-    name = f"a({chart_label(chart)};{i},{j})"
-    return _register(ENTRY, chart, i, j, None, 1, name)
+    suffix = "^-1" if kind == ENTRY_INV else ""
+    name = f"a({chart_label(chart)};{i},{j}){suffix}"
+    return _register(kind, chart, i, j, None, 1, name)
+
+
+def _quasi_det(kind, chart, chart2) -> int:
+    """The quasi-determinant d(chart|chart2) (kind QUASI_DET) or its inverse
+    (QUASI_DET_INV)."""
+    chart, chart2 = tuple(sorted(chart)), tuple(sorted(chart2))
+    if set(chart) & set(chart2):
+        raise ValueError(f"quasi-determinant needs disjoint charts, got {chart}, {chart2}")
+    suffix = "^-1" if kind == QUASI_DET_INV else ""
+    name = f"d({chart_label(chart)}|{chart_label(chart2)}){suffix}"
+    return _register(kind, chart, None, None, chart2, 2, name)
+
+
+def entry(chart, i: int, j: int) -> int:
+    return _entry(ENTRY, chart, i, j)
 
 
 def entry_inverse(chart, i: int, j: int) -> int:
-    chart = tuple(sorted(chart))
-    if i not in chart or j in chart:
-        raise ValueError(f"bad entry indices ({i},{j}) for chart {chart}")
-    name = f"a({chart_label(chart)};{i},{j})^-1"
-    return _register(ENTRY_INV, chart, i, j, None, 1, name)
+    return _entry(ENTRY_INV, chart, i, j)
 
 
 def quasi_det(chart, chart2) -> int:
-    chart = tuple(sorted(chart))
-    chart2 = tuple(sorted(chart2))
-    if set(chart) & set(chart2):
-        raise ValueError(f"quasi-determinant needs disjoint charts, got {chart}, {chart2}")
-    name = f"d({chart_label(chart)}|{chart_label(chart2)})"
-    return _register(QUASI_DET, chart, None, None, chart2, 2, name)
+    return _quasi_det(QUASI_DET, chart, chart2)
 
 
 def quasi_det_inverse(chart, chart2) -> int:
-    chart = tuple(sorted(chart))
-    chart2 = tuple(sorted(chart2))
-    if set(chart) & set(chart2):
-        raise ValueError(f"quasi-determinant needs disjoint charts, got {chart}, {chart2}")
-    name = f"d({chart_label(chart)}|{chart_label(chart2)})^-1"
-    return _register(QUASI_DET_INV, chart, None, None, chart2, 2, name)
+    return _quasi_det(QUASI_DET_INV, chart, chart2)
 
 
 def module_var(k: int) -> int:
@@ -139,12 +143,8 @@ def is_module_var(sid: int) -> bool:
 def inverse_symbol(sid: int) -> int:
     """The partner symbol under formal inversion (entry <-> entry inverse, etc.)."""
     s = _by_id[sid]
-    if s.kind == ENTRY:
-        return entry_inverse(s.chart, s.i, s.j)
-    if s.kind == ENTRY_INV:
-        return entry(s.chart, s.i, s.j)
-    if s.kind == QUASI_DET:
-        return quasi_det_inverse(s.chart, s.chart2)
-    if s.kind == QUASI_DET_INV:
-        return quasi_det(s.chart, s.chart2)
-    raise ValueError(f"{s.name} has no inverse partner")
+    if s.kind == MODULE_VAR:
+        raise ValueError(f"{s.name} has no inverse partner")
+    if s.chart2 is None:
+        return _entry(_PARTNER[s.kind], s.chart, s.i, s.j)
+    return _quasi_det(_PARTNER[s.kind], s.chart, s.chart2)

@@ -166,22 +166,20 @@ _points_cache = new_cache()
 
 def variety_points(pres: AlgebraPresentation) -> list[dict]:
     """The cached points of `pres`: the first four distinct ones among 100
-    samples of the free generators, in pres's field, where every inverted
-    element is nonzero and every relation vanishes, with the defined
-    generators' values."""
+    samples of its base chart's four entries, in pres's field, where every
+    inverted element is nonzero and every relation vanishes, with every
+    generator's value."""
     key = (pres.name, pres.key())
     got = _points_cache.get(key)
     if got is None:
         field = pres.field
         rng = random.Random("ncgrass:variety points")
-        defined = {sid for sid, _, _ in pres.definitions}
-        free = [g for g in pres.generators if g not in defined]
         gens = [NcPoly.gen(field, g) for g in pres.generators]
-        point = pres.evaluator(field, free, gens, zero=pres.relations)
+        point = pres.evaluator(field, gens, zero=pres.relations)
         got = _points_cache[key] = []
         for _ in range(100):
             try:
-                values = point(*(_sample(field, rng) for _ in free))
+                values = point(*(_sample(field, rng) for _ in range(4)))
             except ZeroDivisionError:
                 continue
             if values is None:

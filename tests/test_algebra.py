@@ -40,6 +40,13 @@ def test_symbol_validation():
         sy.module_var(0)
 
 
+def test_an_entry_inverse_is_validated_as_its_entry_is():
+    with pytest.raises(ValueError, match=r"^row index 3 not in chart \(1, 2\)$"):
+        sy.entry_inverse((1, 2), 3, 4)
+    with pytest.raises(ValueError, match=r"^column index 2 lies in chart \(1, 2\)$"):
+        sy.entry_inverse((1, 2), 1, 2)
+
+
 def test_inverse_symbol_is_an_involution():
     for s in [
         sy.entry((1, 2), 1, 3),

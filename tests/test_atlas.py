@@ -220,7 +220,8 @@ def test_every_inverted_element_is_the_expression_of_an_inverse_definition():
         inverse_exprs = [expr for _, expr, as_inv in pres.definitions if as_inv]
         assert all(u in inverse_exprs for u in pres.inverted), pres.name
         free = [g for g in pres.generators if g not in sids]
-        point = pres.evaluator(pres.field, free, [NcPoly.gen(QQ, s) for s in sids])
+        assert free == list(atlas.chart_entries(pres.base_chart)), pres.name
+        point = pres.evaluator(pres.field, [NcPoly.gen(QQ, s) for s in sids])
         for _ in range(20):
             vals = [rng.randint(-1, 1) for _ in free]
             got = point(*vals)
@@ -242,7 +243,7 @@ def test_evaluator_matches_the_in_order_reference_on_every_presentation():
         sids = [sid for sid, _, _ in pres.definitions]
         free = [g for g in pres.generators if g not in sids]
         outputs = [NcPoly.gen(QQ, s) for s in sids] + list(pres.relations)
-        point = pres.evaluator(pres.field, free, outputs)
+        point = pres.evaluator(pres.field, outputs)
         for _ in range(20):
             vals = [rng.randint(-2, 2) for _ in free]
             try:
@@ -271,15 +272,32 @@ def test_evaluator_keeps_a_fraction_coefficient_exact():
         definitions=((b, half, False), (c, half, True)),
         inverted=(half,),
     )
-    point = pres.evaluator(pres.field, (a,), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
-    assert point(3) == (Fraction(3, 2), Fraction(2, 3))
-    assert all(type(v) is Fraction for v in point(3))
-    assert point(2) == (1, 1)
-    assert point(0) is None
+    # the point takes all four base entries; the definitions set b and c
+    point = pres.evaluator(pres.field, (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
+    assert point(3, 0, 0, 0) == (Fraction(3, 2), Fraction(2, 3))
+    assert all(type(v) is Fraction for v in point(3, 0, 0, 0))
+    assert point(2, 0, 0, 0) == (1, 1)
+    assert point(0, 0, 0, 0) is None
     # in F_5 the coefficient 1/2 is 3
-    in_f5 = pres.evaluator(GF(5), (a,), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
-    assert in_f5(3) == (4, 4)
-    assert in_f5(5) is None
+    in_f5 = pres.evaluator(GF(5), (NcPoly.gen(QQ, b), NcPoly.gen(QQ, c)))
+    assert in_f5(3, 0, 0, 0) == (4, 4)
+    assert in_f5(5, 0, 0, 0) is None
+
+
+def test_evaluator_rejects_an_inverted_element_no_point_sets():
+    # x(1) is neither a base entry nor defined, so no assignment of the
+    # base entries decides whether it vanishes
+    x = NcPoly.gen(QQ, sy.module_var(1))
+    pres = atlas.AlgebraPresentation(
+        name="T",
+        field=QQ,
+        base_chart=(1, 2),
+        generators=atlas.chart_entries((1, 2)),
+        commutation_relations=(),
+        inverted=(x,),
+    )
+    with pytest.raises(ValueError, match=r"T inverts x\(1\), which holds a symbol"):
+        pres.evaluator(QQ, ())
 
 
 def test_a_presentation_over_qq_evaluates_in_f_q_as_its_build_over_f_q():
@@ -296,9 +314,9 @@ def test_a_presentation_over_qq_evaluates_in_f_q_as_its_build_over_f_q():
         sids = [sid for sid, _, _ in pres.definitions]
         free = [g for g in pres.generators if g not in sids]
         outputs = [NcPoly.gen(QQ, s) for s in sids] + list(pres.relations)
-        point = pres.evaluator(GF(3), free, outputs)
+        point = pres.evaluator(GF(3), outputs)
         outputs3 = [NcPoly.gen(GF(3), s) for s in sids] + list(pres3.relations)
-        point3 = pres3.evaluator(GF(3), free, outputs3)
+        point3 = pres3.evaluator(GF(3), outputs3)
         for vals in product(range(3), repeat=len(free)):
             assert point(*vals) == point3(*vals), (pres.name, vals)
 
@@ -322,7 +340,7 @@ def test_evaluator_tests_an_inverted_element_once_its_symbols_are_set():
     pres, u = _chain_guarding_an_adjoined_symbol()
     sids = [sid for sid, _, _ in pres.definitions]
     free = [g for g in pres.generators if g not in sids]
-    point = pres.evaluator(pres.field, free, [u])
+    point = pres.evaluator(pres.field, [u])
     last = max(k for k, sid in enumerate(sids) if sid in u.symbols())
     head = dataclasses.replace(pres, definitions=pres.definitions[: last + 1])
     vanishing = 0
@@ -341,11 +359,8 @@ def test_evaluator_tests_an_inverted_element_once_its_symbols_are_set():
 def test_evaluator_source_reads_only_names_bound_in_its_namespace():
     pres = atlas.overlap_chain(((1, 2), (3, 4), (2, 3))).presentation
     sids = [sid for sid, _, _ in pres.definitions]
-    free = [g for g in pres.generators if g not in sids]
-    x = NcPoly.gen(QQ, sy.module_var(3))
-    witness = (x * NcPoly.gen(QQ, sids[-1])).scale(Fraction(1, 2))
-    inputs = free + [sy.module_var(3)]
-    point = pres.evaluator(pres.field, inputs, (witness,), zero=pres.relations)
+    witness = NcPoly.gen(QQ, sids[-1]).scale(Fraction(1, 2))
+    point = pres.evaluator(pres.field, (witness,), zero=pres.relations)
     names = point.__code__.co_names
     assert "inv" in names and any(n.startswith("c") for n in names)
     assert set(names) <= set(point.__globals__) - {"__builtins__"}
@@ -374,7 +389,7 @@ def test_point_extends_an_assignment_through_the_definitions_in_order():
     sids = [sid for sid, _, _ in pres.definitions]
     free = [g for g in pres.generators if g not in sids]
     assert free == list(atlas.chart_entries((1, 2)))
-    point = pres.evaluator(pres.field, free, [NcPoly.gen(QQ, s) for s in sids] + [det])
+    point = pres.evaluator(pres.field, [NcPoly.gen(QQ, s) for s in sids] + [det])
     *defined, d = point(2, 3, 5, 7)
     values = dict(zip(free + sids, [2, 3, 5, 7] + defined))
     assert d == 2 * 7 - 3 * 5

@@ -89,6 +89,15 @@ def test_syntax_error_offsets():
         ("a(1;2,3)", 4),
         ("2^-2", 4),
         ("a(1,2;1,3) a(1,2;1,4)", 12),
+        # each generator head's separators, in order
+        ("a(1,2,1,3)", 6),
+        ("a(1;2;1,3)", 4),
+        ("a(1,2;1;3)", 8),
+        ("d(1;2|3,4)", 4),
+        ("d(1,2;3,4)", 6),
+        ("d(1,2|3;4)", 8),
+        ("x(1,2)", 4),
+        ("x()", 3),
     ]:
         with pytest.raises(ParseError) as err:
             parse_expr(text, pres)

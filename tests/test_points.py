@@ -55,7 +55,7 @@ def test_points_are_read_by_position_in_chart_entries_order():
     for lam, lam2 in permutations(atlas.all_charts(), 2):
         pair = atlas.pair_overlap(lam, lam2, GF(3))
         images = [pair.to_base.mapping[e] for e in atlas.chart_entries(lam2)]
-        move = pair.presentation.evaluator(GF(3), atlas.chart_entries(lam), images)
+        move = pair.presentation.evaluator(GF(3), images)
         targets = chart_points(lam2, 3)
         for p, j in zip(chart_points(lam, 3), transport_table(lam, lam2, 3)):
             if j is not None:
@@ -322,9 +322,9 @@ def test_verify_points_transports_each_point_once_per_chart(monkeypatch):
         overlaps.append(read(lam, lam2))
         return overlaps[-1]
 
-    def counted_compile(pres, field, inputs, outputs, *guards):
+    def counted_compile(pres, field, outputs, *guards):
         compiles.append(field)
-        move = compile_(pres, field, inputs, outputs, *guards)
+        move = compile_(pres, field, outputs, *guards)
 
         def counted_move(*vals):
             evaluations.append(None)
