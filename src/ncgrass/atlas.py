@@ -141,7 +141,6 @@ class AlgebraPresentation:
     module_vars: tuple = ()  # x(1)..x(4), in a module presentation F(i,j)
     definitions: tuple = ()  # (sid, NcPoly expr, bool as_inverse)
     inverted: tuple = ()  # NcPoly elements
-    _key: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def relations(self) -> tuple:
@@ -155,6 +154,7 @@ class AlgebraPresentation:
         """The generators in sy.KEY order: a generator's rank is its index."""
         return tuple(sorted(self.generators, key=sy.KEY.__getitem__))
 
+    @functools.cached_property
     def key(self) -> tuple:
         """The completion cache key: equal for presentations over one field
         whose generators weigh the same rank by rank and whose relations
@@ -162,20 +162,17 @@ class AlgebraPresentation:
         Such presentations share one completion, renamed (see
         _completion_cache): F(i,j) shares R(i,j)'s, and overlaps the S4
         symmetry carries onto each other share one where it keeps the order
-        of their generators. Computed on the first call, since a
-        presentation is not changed once built."""
-        if self._key is None:
-            f, rank = self.field, {s: str(r) for r, s in enumerate(self.alphabet)}
+        of their generators."""
+        f, rank = self.field, {s: str(r) for r, s in enumerate(self.alphabet)}
 
-            def term(w: tuple, c) -> str:
-                return f"{f.to_str(c)}:{','.join(map(rank.__getitem__, w))}"
+        def term(w: tuple, c) -> str:
+            return f"{f.to_str(c)}:{','.join(map(rank.__getitem__, w))}"
 
-            def text(r: NcPoly) -> str:
-                return " ".join(sorted(term(w, c) for w, c in r.terms.items()))
+        def text(r: NcPoly) -> str:
+            return " ".join(sorted(term(w, c) for w, c in r.terms.items()))
 
-            weights = tuple(sy.WEIGHT[s] for s in self.alphabet)
-            self._key = (f.key, weights, tuple(map(text, self.relations)))
-        return self._key
+        weights = tuple(sy.WEIGHT[s] for s in self.alphabet)
+        return (f.key, weights, tuple(map(text, self.relations)))
 
     def completed(self, bound: int) -> RewriteSystem:
         """The presentation's completion, grown until rung `bound` is known,
@@ -274,7 +271,7 @@ def clear_caches() -> None:
         cache.clear()
 
 
-# pres.key() -> (alphabet, system): the completion shared by every
+# pres.key -> (alphabet, system): the completion shared by every
 # presentation with that key, over the alphabet of the first to ask. It
 # grows by each request for a rung it does not know yet, and residues pauses
 # it. The renaming of a member's generators onto that alphabet, rank for
@@ -286,10 +283,10 @@ _completion_cache = new_cache()
 def _class_completion(pres: AlgebraPresentation) -> tuple[RewriteSystem, dict, dict]:
     """The completion of pres's class, and the renamings of pres's
     generators onto its alphabet and back."""
-    got = _completion_cache.get(pres.key())
+    got = _completion_cache.get(pres.key)
     if got is None:
         system = RewriteSystem(pres.field, pres.rewrite_rules())
-        got = _completion_cache[pres.key()] = (pres.alphabet, system)
+        got = _completion_cache[pres.key] = (pres.alphabet, system)
     alphabet, system = got
     return system, dict(zip(pres.alphabet, alphabet)), dict(zip(alphabet, pres.alphabet))
 
@@ -434,9 +431,6 @@ class FormulaSet:
     disjoint_to_base: tuple = tuple(DISJOINT_TO_BASE.items())
     disjoint_from_base: tuple = tuple(DISJOINT_FROM_BASE.items())
 
-    def group(self, name: str) -> dict:
-        return dict(getattr(self, name))
-
 
 CANONICAL = FormulaSet()
 
@@ -538,11 +532,9 @@ class OverlapPair:
 
     lam: Chart
     lam2: Chart
-    kind: str
     presentation: AlgebraPresentation
     to_base: Hom  # far-chart symbols -> base-localization elements
     from_base: Hom  # base entries -> far-chart expressions
-    sigma: dict
 
 
 def _inverse_pair_relations(field: Field, elt: NcPoly, inv_sid: int) -> tuple:
@@ -570,11 +562,11 @@ def adjacent_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
         definitions=((piv_inv, piv_poly, True),),
         inverted=(piv_poly,),
     )
-    to_table = {**formulas.group("adjacent_to_base"), **ADJACENT_TO_BASE_EXTRA}
-    from_table = formulas.group("adjacent_from_base")
+    to_table = dict(formulas.adjacent_to_base) | ADJACENT_TO_BASE_EXTRA
+    from_table = dict(formulas.adjacent_from_base)
     to_base = Hom(field, _materialize(to_table, sigma, lam, lam2, field))
     from_base = Hom(field, _materialize(from_table, sigma, lam, lam2, field))
-    return OverlapPair(lam, lam2, "adjacent", pres, to_base, from_base, sigma)
+    return OverlapPair(lam, lam2, pres, to_base, from_base)
 
 
 def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> OverlapPair:
@@ -597,8 +589,8 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
     det2_elt = quasi_det_element(lam2, lam, field)
     dpoly = NcPoly.gen(field, dsym)
     d2poly = NcPoly.gen(field, d2sym)
-    to_map = _materialize(formulas.group("disjoint_to_base"), sigma, lam, lam2, field)
-    from_map = _materialize(formulas.group("disjoint_from_base"), sigma, lam, lam2, field)
+    to_map = _materialize(dict(formulas.disjoint_to_base), sigma, lam, lam2, field)
+    from_map = _materialize(dict(formulas.disjoint_from_base), sigma, lam, lam2, field)
     subst = tuple(NcPoly.gen(field, s) - img for s, img in to_map.items())
     subst += tuple(NcPoly.gen(field, s) - img for s, img in from_map.items())
     pres = AlgebraPresentation(
@@ -619,7 +611,7 @@ def disjoint_overlap(lam, lam2, field: Field = QQ, formulas: FormulaSet = CANONI
     to_extra = _materialize(DISJOINT_TO_BASE_EXTRA, sigma, lam, lam2, field)
     to_base = Hom(field, {**to_map, **to_extra})
     from_base = Hom(field, from_map)
-    return OverlapPair(lam, lam2, "disjoint", pres, to_base, from_base, sigma)
+    return OverlapPair(lam, lam2, pres, to_base, from_base)
 
 
 # ("pair" or "chain", charts, field.key, formulas) -> OverlapPair or
@@ -685,34 +677,6 @@ class ChainOverlap:
     presentation: AlgebraPresentation
     homs: dict  # Chart -> Hom
 
-    @property
-    def field(self) -> Field:
-        return self.presentation.field
-
-    def inverse_of(self, elt: NcPoly):
-        """An inverse of elt in the presentation, if one is structurally known.
-
-        Single words invert letter by letter; other elements are matched
-        syntactically against the images of the two quasi-determinants of
-        each disjoint pair in the chain, which are inverse to each other."""
-        if len(elt.terms) == 1:
-            return _word_inverse(elt, self._letter_inverse)
-        f = self.field
-        for a, b in combinations(self.charts, 2):
-            if overlap_type(a, b) == "disjoint":
-                ea = self.homs[a].apply(quasi_det_element(a, b, f))
-                eb = self.homs[b].apply(quasi_det_element(b, a, f))
-                if elt in (ea, eb):
-                    return eb if elt == ea else ea
-        return None
-
-    def _letter_inverse(self, s: int) -> NcPoly:
-        pres = self.presentation
-        inv = _known_letter_inverse(s, pres.generators, pres.definitions, self.field)
-        if inv is None:
-            raise ValueError(f"no inverse available for letter {sy.sym_name(s)}")
-        return inv
-
 
 def overlap_chain(charts, field: Field = QQ, formulas: FormulaSet = CANONICAL) -> ChainOverlap:
     """Base-chart presentation of the overlap of a chart chain, built once per
@@ -775,7 +739,8 @@ def _build_chain(charts: tuple, field: Field, formulas: FormulaSet) -> ChainOver
         # each stored hom also covers its chart's hop-adjoined inverse symbols
         phi_prev = homs[prev]
         hop = pair_overlap(prev, nxt, field, formulas)
-        if hop.kind == "adjacent":
+        disjoint = overlap_type(prev, nxt) == "disjoint"
+        if not disjoint:
             piv = pivot_entry(prev, nxt)
             u = phi_prev.apply(NcPoly.gen(field, piv))
             inv_expr = adjoin_inverse(u, sy.inverse_symbol(piv))
@@ -802,7 +767,7 @@ def _build_chain(charts: tuple, field: Field, formulas: FormulaSet) -> ChainOver
                 phi_prev.mapping[dinv] = inv_expr
         # composed after phi_prev holds this hop's adjoined inverse
         phi_next = Hom(field, {s: phi_prev.apply(p) for s, p in hop.to_base.mapping.items()})
-        if hop.kind == "disjoint":
+        if disjoint:
             # a disjoint hop imposes structure the base localization does not
             # imply: the far chart's commutation relations, the reverse
             # identification formulas, and a formal inverse for the far
@@ -887,25 +852,33 @@ class Presheaf:
 
 def pair_to_chain_hom(pair: OverlapPair, chain: ChainOverlap) -> Hom:
     """Restriction from a pair overlap into a chain overlap containing both
-    charts, the one map from a pair's symbols into a chain. Chart entries go
-    through the chain's own Homs, each of which maps only its own chart's
-    symbols; adjoined symbols resolve through the pair's definitions and
-    chain.inverse_of."""
-    field = chain.field
-    known = {**chain.homs[pair.lam].mapping, **chain.homs[pair.lam2].mapping}
-    mapping = {g: known[g] for g in pair.presentation.generators if g in known}
-    work = Hom(field, mapping)
-    for sid, expr, as_inv in pair.presentation.definitions:
-        if sid in mapping:
-            continue  # a chain hom already carries an image for this symbol
-        img = work.apply(expr)
-        inv = chain.inverse_of(img) if as_inv else img
-        if inv is None:
-            raise ValueError(
-                f"cannot express inverse of {poly_str(img)} in {chain.presentation.name}"
-            )
-        mapping[sid] = inv
-    return Hom(field, mapping)
+    charts, the one map from a pair's symbols into a chain, given on the
+    pair's generators in order. A symbol that the chain's Hom of either chart
+    maps takes that image. Of the others, a disjoint pair's quasi-determinants
+    d(a|b), d(b|a) take e_a, e_b, their images through the Homs of their own
+    charts, and d(a|b)^-1, d(b|a)^-1 take e_b, e_a, since the two images are
+    inverse to each other (the disjoint lemma); an adjacent pair's pivot
+    inverse is the pivot's image inverted letter by letter."""
+    a, b = pair.lam, pair.lam2
+    pres = chain.presentation
+    field = pres.field
+    images = {**chain.homs[a].mapping, **chain.homs[b].mapping}
+    unmapped = [g for g in pair.presentation.generators if g not in images]
+    if unmapped and overlap_type(a, b) == "disjoint":
+        e_a = chain.homs[a].apply(quasi_det_element(a, b, field))
+        e_b = chain.homs[b].apply(quasi_det_element(b, a, field))
+        lemma = {sy.quasi_det(a, b): e_a, sy.quasi_det_inverse(b, a): e_a}
+        lemma |= {sy.quasi_det(b, a): e_b, sy.quasi_det_inverse(a, b): e_b}
+        images.update((g, lemma[g]) for g in unmapped)
+    elif unmapped:
+        piv = pivot_entry(a, b)
+        img = chain.homs[a].apply(NcPoly.gen(field, piv))
+        gens, defs = pres.generators, pres.definitions
+        inverse = {s: _known_letter_inverse(s, gens, defs, field) for w in img.terms for s in w}
+        if len(img.terms) != 1 or None in inverse.values():
+            raise ValueError(f"cannot express inverse of {poly_str(img)} in {pres.name}")
+        images[sy.inverse_symbol(piv)] = _word_inverse(img, inverse.__getitem__)
+    return Hom(field, {g: images[g] for g in pair.presentation.generators})
 
 
 def build_presheaf(field: Field = QQ) -> Presheaf:

@@ -44,6 +44,7 @@ from .atlas import (
     AlgebraPresentation,
     FormulaSet,
     PosetIndex,
+    adjacent_sigma,
     all_charts,
     build_presheaf,
     chart_entries,
@@ -155,7 +156,7 @@ def _sample(field: Field, rng: random.Random):
     return rng.randint(-9, 9)
 
 
-# (pres.name, pres.key()) -> up to four distinct points of the presented
+# (pres.name, pres.key) -> up to four distinct points of the presented
 # variety, each an assignment of every generator: the first valid samples of
 # one fixed seed, found the first time a check of the presentation leaves a
 # residue or has a sign-doubt alt to test.
@@ -169,7 +170,7 @@ def variety_points(pres: AlgebraPresentation) -> list[dict]:
     samples of its base chart's four entries, in pres's field, where every
     inverted element is nonzero and every relation vanishes, with every
     generator's value."""
-    key = (pres.name, pres.key())
+    key = (pres.name, pres.key)
     got = _points_cache.get(key)
     if got is None:
         field = pres.field
@@ -360,7 +361,7 @@ def verify_adjacent_substitution(
         for g in pres.generators
         if sy.sym(g).kind == sy.ENTRY
     ]
-    sigma = pair.sigma
+    sigma = adjacent_sigma(lam, lam2)
     far_piv = sy.entry(lam2, sigma[3], sigma[1])
     far_other = sy.entry(lam2, sigma[3], sigma[4])
     u = tb.apply(NcPoly.gen(field, far_other))

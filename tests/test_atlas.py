@@ -100,7 +100,6 @@ def test_eliminate_module_vars_expands_only_the_outside_variables():
 
 def test_adjacent_overlap_structure():
     pair = atlas.adjacent_overlap((1, 2), (2, 3))
-    assert pair.kind == "adjacent"
     pres = pair.presentation
     assert pres.name == "O(1,2|2,3)"
     # base entries plus the inverted pivot
@@ -116,7 +115,6 @@ def test_adjacent_overlap_structure():
 
 def test_disjoint_overlap_structure():
     pair = atlas.disjoint_overlap((1, 2), (3, 4))
-    assert pair.kind == "disjoint"
     pres = pair.presentation
     gens = set(pres.generators)
     # both charts' entries and all four quasi-determinant symbols
@@ -145,8 +143,10 @@ def test_quasi_det_element_golden():
 
 
 def test_pair_overlap_dispatch_and_validation():
-    assert atlas.pair_overlap((1, 2), (2, 3)).kind == "adjacent"
-    assert atlas.pair_overlap((1, 2), (3, 4)).kind == "disjoint"
+    # an adjacent pair has the base entries and the inverted pivot, a
+    # disjoint one both charts' entries and four quasi-determinant symbols
+    assert len(atlas.pair_overlap((1, 2), (2, 3)).presentation.generators) == 5
+    assert len(atlas.pair_overlap((1, 2), (3, 4)).presentation.generators) == 12
     with pytest.raises(ValueError):
         atlas.pair_overlap((1, 2), (1, 2))
 
@@ -421,8 +421,8 @@ def test_pair_to_chain_images_match_the_recorded_digest():
 def test_chain_knows_quasi_det_inverses():
     chain = atlas.overlap_chain(((1, 2), (2, 3), (3, 4)))
     det = atlas.quasi_det_element((1, 2), (3, 4))
-    inv = chain.inverse_of(det)
-    assert inv is not None
+    pair = atlas.pair_overlap((1, 2), (3, 4))
+    inv = atlas.pair_to_chain_hom(pair, chain).mapping[sy.quasi_det_inverse((1, 2), (3, 4))]
     system = chain.presentation.completed(8)
     one = NcPoly.scalar(QQ, QQ.one)
     assert system.normal_form(det * inv - one, 8).is_zero()
@@ -430,14 +430,19 @@ def test_chain_knows_quasi_det_inverses():
 
 
 def test_chain_inverts_the_quasi_determinant_images_of_each_disjoint_pair():
+    # the disjoint lemma: each end chart's quasi-determinant image is the
+    # inverse of the other's, whichever end the pair overlap is based on
     for charts in permutations(atlas.all_charts(), 3):
+        a, b = charts[0], charts[2]
+        if atlas.overlap_type(a, b) != "disjoint":
+            continue
         chain = atlas.overlap_chain(charts)
-        for a, b in combinations(charts, 2):
-            if atlas.overlap_type(a, b) != "disjoint":
-                continue
-            ea = chain.homs[a].apply(atlas.quasi_det_element(a, b))
-            eb = chain.homs[b].apply(atlas.quasi_det_element(b, a))
-            assert chain.inverse_of(ea) == eb and chain.inverse_of(eb) == ea, charts
+        ea = chain.homs[a].apply(atlas.quasi_det_element(a, b))
+        eb = chain.homs[b].apply(atlas.quasi_det_element(b, a))
+        for lam, lam2 in ((a, b), (b, a)):
+            r = atlas.pair_to_chain_hom(atlas.pair_overlap(lam, lam2), chain)
+            assert r.mapping[sy.quasi_det_inverse(a, b)] == eb, charts
+            assert r.mapping[sy.quasi_det_inverse(b, a)] == ea, charts
 
 
 def test_poset_index():
@@ -534,19 +539,19 @@ def test_equal_presentations_share_one_key_and_one_completion():
     atlas.clear_caches()
     first = atlas.chart_presentation((1, 2), with_module=True)
     second = atlas.chart_presentation((1, 2), with_module=True)
-    key = first.key()
+    key = first.key
     # the field, the weights rank by rank, and each relation's terms with
     # every generator replaced by its rank under sy.KEY
     assert first.alphabet == first.generators
     relations = ("-1:0,1 1:1,0", "-1:2,3 1:3,2", "-1:0,3 -1:2,1 1:1,2 1:3,0")
     assert key == (QQ.key, (1, 1, 1, 1), relations)
-    assert first.key() is key  # computed once
-    assert second.key() == key and second.key() is not key
+    assert first.key is key  # computed once
+    assert second.key == key and second.key is not key
     assert first == second
     assert second.completed(4) is first.completed(4)
     # module relations enter no completion, so F(1,2) and R(1,2) share one
     bare = atlas.chart_presentation((1, 2))
-    assert bare.key() == key and bare != first
+    assert bare.key == key and bare != first
     assert bare.completed(4) is first.completed(4)
 
 

@@ -393,7 +393,7 @@ def _pause_the_chain_part_way(pres, bound):
     by the time that rule is added, before the rung ends."""
     rule = complete(_chain_base(), bound).rules[50]
     assert atlas.residues(pres, [NcPoly.from_word(QQ, rule.lhs) - rule.rhs], bound) == []
-    _, paused = atlas._completion_cache[pres.key()]  # (alphabet, system)
+    _, paused = atlas._completion_cache[pres.key]  # (alphabet, system)
     assert paused.pending is not None and not paused.has_rung(bound)
     return paused
 
@@ -444,7 +444,7 @@ def test_residues_run_the_rung_to_the_end_on_a_nonmember():
     a = NcPoly.gen(QQ, pres.generators[0])
     # the nonzero normal forms, in element order
     assert atlas.residues(pres, [NcPoly.scalar(QQ, 0), a, a + a], 6) == [a, a + a]
-    _, system = atlas._completion_cache[pres.key()]  # (alphabet, system)
+    _, system = atlas._completion_cache[pres.key]  # (alphabet, system)
     assert system.pending is None and len(system.ends) == 7
     assert system.ends[6] == len(system.rules) == 28
     # a complete rung is read, not resumed
@@ -480,7 +480,7 @@ def test_every_member_completes_to_its_class_system_renamed(monkeypatch):
     verify.run_all(10)
     assert len(members) == 51 and len(atlas._completion_cache) == 16
     for pres in members.values():
-        alphabet, shared = atlas._completion_cache[pres.key()]
+        alphabet, shared = atlas._completion_cache[pres.key]
         bound = 6 if _holds_quasi_det(pres) else 8
         complete(shared, bound)
         own = private_completion(pres, bound)
@@ -525,7 +525,7 @@ def test_residues_do_not_depend_on_which_member_leads(charts):
     for leader in (0, 1):
         atlas.clear_caches()
         members = [build(c) for c in charts]
-        assert len({pres.key() for pres in members}) == 1
+        assert len({pres.key for pres in members}) == 1
         assert len({pres.alphabet for pres in members}) == len(members)
         # the leader's run pauses part way through rung 8
         lead = members[leader]
@@ -552,7 +552,7 @@ def test_renaming_never_passes_a_foreign_symbol_through():
     atlas.clear_caches()
     lead = atlas.pair_overlap((1, 2), (1, 3)).presentation
     member = atlas.pair_overlap((1, 3), (1, 2)).presentation
-    assert lead.key() == member.key()
+    assert lead.key == member.key
     assert atlas.residues(lead, [NcPoly.gen(QQ, lead.generators[0])], 4)
     foreign = next(s for s in lead.generators if s not in member.generators)
     outside = sy.entry((3, 4), 3, 1)
@@ -567,11 +567,11 @@ def test_renaming_never_passes_a_foreign_symbol_through():
 def test_relations_listed_in_another_order_get_another_key():
     # rule order is the reduction tie-break, so it is part of the key
     first, second = atlas.chart_presentation((1, 2)), atlas.chart_presentation((3, 4))
-    assert first.key() == second.key() and first.alphabet != second.alphabet
+    assert first.key == second.key and first.alphabet != second.alphabet
     rels = second.commutation_relations
     reordered = dataclasses.replace(second, commutation_relations=rels[1:] + rels[:1])
-    assert reordered.key() != first.key()
-    assert sorted(reordered.key()[2]) == sorted(first.key()[2])
+    assert reordered.key != first.key
+    assert sorted(reordered.key[2]) == sorted(first.key[2])
 
 
 def test_disjoint_pair_rules_at_bound_8():

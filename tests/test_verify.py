@@ -593,7 +593,7 @@ def test_every_cached_point_is_a_point_of_its_presentation(monkeypatch, field):
     assert len(presentations) == 51 + 6
     classes = {}
     for pres in presentations:
-        classes.setdefault(pres.key(), set()).add(pres.generators)
+        classes.setdefault(pres.key, set()).add(pres.generators)
         points = verify.variety_points(pres)
         assert len(points) == 4, pres.name
         defined = {sid for sid, _, _ in pres.definitions}
@@ -647,7 +647,7 @@ def test_the_lemma_cocycle_and_functoriality_suites_state_one_identity(monkeypat
     atlas.clear_caches()
 
     def rows(prefix):
-        return [(p.key(), els) for cid, (p, els) in checks.items() if cid.startswith(prefix)]
+        return [(p.key, els) for cid, (p, els) in checks.items() if cid.startswith(prefix)]
 
     # the lemma's forward closed forms are the cocycle checks of its chain
     closed_forms = rows("lemma(1,2|2,3|3,4):closed-form:")
